@@ -123,7 +123,7 @@ pub fn ablation_spill(scale: &Scale) -> Result<Figure> {
         (
             "spilled index",
             Some(SpillConfig {
-                mem_budget_bytes: (n * 8).max(4096), // hold ~1/4 of entries
+                mem_budget_bytes: (n * 20).max(4096), // hold ~1/4 of entries
                 lsm_write_buffer_bytes: 1 << 20,
             }),
         ),

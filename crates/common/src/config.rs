@@ -16,8 +16,12 @@ pub const DEFAULT_RECORD_BYTES: usize = 1024;
 /// Key domain of the YCSB-style benchmark (max key 2·10⁹, §4.1).
 pub const YCSB_MAX_KEY: u64 = 2_000_000_000;
 
-/// Approximate in-memory size of one index entry (24 bytes, §3.5: 16-byte
-/// composite key + 8-byte pointer).
+/// In-memory size of one version in the multiversion index (24 bytes).
+/// The paper's entry (§3.5) is a 16-byte composite key + 8-byte pointer;
+/// ours is an 8-byte timestamp + 16-byte `LogPtr`, and the key bytes are
+/// held once per distinct key, not per version (`logbase_index` asserts
+/// the size at compile time). What an index costs in total is
+/// `IndexStats::approx_bytes`, not a multiple of this.
 pub const INDEX_ENTRY_BYTES: usize = 24;
 
 /// The machine's available parallelism (≥ 1). Default for everything

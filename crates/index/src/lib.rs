@@ -14,7 +14,13 @@
 //! a reader-writer-locked B-tree with the same interface semantics (range
 //! search + concurrency), trading the paper's latch-free splits for
 //! simplicity: at tablet scale the lock is uncontended off the write path
-//! because writes already serialize on the log append.
+//! because writes already serialize on the log append. It stores the
+//! composite key factored: each distinct key once, owned by the index,
+//! mapped to its timestamp-ordered chain of 24-byte `(ts, Ptr)` versions
+//! — same order, same probes, no key bytes repeated per version and no
+//! borrowed buffer kept alive. [`BlinkTree`] keeps the flat composite-key
+//! layout and serves as the reference structure in the differential
+//! tests.
 //!
 //! Index persistence (checkpoint files, §3.8) lives in [`persist`]:
 //! a snapshot is written to a DFS index file and reloaded at restart.

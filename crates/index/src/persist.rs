@@ -64,29 +64,31 @@ pub fn save_index(dfs: &Dfs, name: &str, index: &MultiVersionIndex) -> Result<u6
     Ok(entries.len() as u64)
 }
 
-/// Load a snapshot written by [`save_index`] into a fresh index.
+/// Load a snapshot written by [`save_index`] into a fresh index. The
+/// index copies the keys it keeps: the file's bytes are released on
+/// return.
 pub fn load_index(dfs: &Dfs, name: &str) -> Result<MultiVersionIndex> {
     let raw = dfs.read_all(name)?;
-    let (header, mut pos) = codec::decode_frame(&raw, name)?;
-    let mut hdr = header;
-    let expected = codec::get_u64(&mut hdr, name)?;
+    let (mut header, mut pos) = codec::decode_frame(&raw, name)?;
+    let expected = codec::get_u64(&mut header, name)?;
     let index = MultiVersionIndex::new();
-    let mut entries: Vec<IndexEntry> = Vec::with_capacity(expected.min(1 << 20) as usize);
-    while (pos as u64) < raw.len() as u64 {
-        let (run, consumed) = codec::decode_frame(&raw[pos..], name)?;
+    let mut loaded = 0u64;
+    while pos < raw.len() {
+        let (mut run, consumed) = codec::decode_frame(&raw[pos..], name)?;
         pos += consumed;
-        let mut src = run;
-        while !src.is_empty() {
-            entries.push(decode_entry(&mut src, name)?);
+        let mut entries = Vec::new();
+        while !run.is_empty() {
+            entries.push(decode_entry(&mut run, name)?);
         }
+        loaded += entries.len() as u64;
+        index.insert_batch(entries);
     }
-    if entries.len() as u64 != expected {
+    if loaded != expected {
         return Err(Error::Corruption(format!(
-            "{name}: index file promises {expected} entries but holds {}",
-            entries.len()
+            "{name}: index file promises {expected} entries but holds {loaded}"
         )));
     }
-    index.replace_all(entries);
+    index.reset_update_counter();
     Ok(index)
 }
 

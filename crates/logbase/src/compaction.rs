@@ -544,7 +544,7 @@ impl TabletServer {
                     let tablet = t.route(&key)?;
                     tablet
                         .index(cg)?
-                        .insert(key, ts, LogPtr::new(seg_id, offset, len))?;
+                        .insert(&key, ts, LogPtr::new(seg_id, offset, len))?;
                 }
                 buf.clear();
                 Ok(())

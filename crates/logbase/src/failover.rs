@@ -69,10 +69,7 @@ pub fn rebuild_range(
                     }
                     for (cg, file) in tablet_meta.index_files.iter().enumerate() {
                         let loaded = logbase_index::persist::load_index(dfs, file)?;
-                        for e in loaded.scan_all() {
-                            if !range.contains(&e.key) {
-                                continue;
-                            }
+                        for e in loaded.range_latest_at(range, Timestamp::MAX, usize::MAX) {
                             apply(&mut fold, cg as u16, e.key, e.ts, Some(e.ptr));
                         }
                     }

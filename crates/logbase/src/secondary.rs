@@ -40,12 +40,8 @@ pub struct SecondaryIndex {
     entries: MultiVersionIndex,
 }
 
-fn composite(attr: &[u8], pk: &[u8]) -> RowKey {
-    let mut buf = Vec::with_capacity(attr.len() + 1 + pk.len());
-    buf.extend_from_slice(attr);
-    buf.push(0);
-    buf.extend_from_slice(pk);
-    RowKey::from(buf)
+fn composite(attr: &[u8], pk: &[u8]) -> Vec<u8> {
+    [attr, &[0], pk].concat()
 }
 
 fn split_composite(key: &[u8]) -> Option<(&[u8], &[u8])> {

@@ -173,7 +173,7 @@ pub type TabletContents = Vec<(u16, Vec<ScanItem>)>;
 pub struct ServerStats {
     /// Total index entries across tablets and column groups (memory tier).
     pub index_entries: u64,
-    /// Approximate index bytes (memory tier).
+    /// Accounted index heap bytes (memory tier; `IndexStats::approx_bytes`).
     pub index_bytes: u64,
     /// Read-buffer `(hits, misses)`.
     pub read_buffer: (u64, u64),
@@ -600,7 +600,7 @@ impl TabletServer {
                 record,
             },
         )?;
-        index.insert(key.clone(), ts, ptr)?;
+        index.insert(&key, ts, ptr)?;
         drop(barrier);
         drop(reservation);
         for sec in self.secondary.of(table, cg) {
@@ -640,7 +640,7 @@ impl TabletServer {
                 record,
             },
         )?;
-        index.insert(key, ts, ptr)?;
+        index.insert(&key, ts, ptr)?;
         drop(barrier);
         self.oracle.advance_to(ts);
         Ok(())
@@ -1203,7 +1203,7 @@ impl TabletServer {
                         let tablet = Arc::new(server.new_tablet_state(desc, &tm.schema)?);
                         for (cg, file) in tablet_meta.index_files.iter().enumerate() {
                             let loaded = logbase_index::persist::load_index(&dfs, file)?;
-                            tablet.indexes[cg].mem().replace_all(loaded.scan_all());
+                            tablet.indexes[cg].mem().replace_all(loaded);
                         }
                         table.add_tablet(tablet);
                     }
@@ -1339,7 +1339,7 @@ impl TabletServer {
         if record.is_tombstone() {
             index.remove_key(&record.meta.key)?;
         } else {
-            index.insert(record.meta.key.clone(), record.meta.timestamp, ptr)?;
+            index.insert(&record.meta.key, record.meta.timestamp, ptr)?;
         }
         Ok(())
     }

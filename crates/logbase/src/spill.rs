@@ -110,7 +110,7 @@ impl SpillableIndex {
     /// are index pointers, and the log records they point at are redone
     /// from the WAL on recovery (at-least-once — re-spilling the same
     /// pointer is idempotent).
-    pub fn insert(&self, key: RowKey, ts: Timestamp, ptr: LogPtr) -> Result<()> {
+    pub fn insert(&self, key: impl AsRef<[u8]>, ts: Timestamp, ptr: LogPtr) -> Result<()> {
         self.mem.insert(key, ts, ptr);
         if let Some((lsm, budget)) = &self.disk {
             if self.mem.stats().approx_bytes > *budget {

@@ -366,7 +366,7 @@ impl TxnManager {
             let index = tablet.index(cell.1)?;
             match value {
                 Some(v) => {
-                    index.insert(cell.2.clone(), commit_ts, *ptr)?;
+                    index.insert(&cell.2, commit_ts, *ptr)?;
                     if let Some(rb) = &server.read_buffer {
                         rb.put(
                             &table_state.name,
