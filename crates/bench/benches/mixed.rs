@@ -21,6 +21,7 @@ fn bench_mixed(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for kind in [EngineKind::LogBase, EngineKind::HBase] {
         let cluster = loaded_cluster(kind);
+        let client = cluster.client();
         for mix in [0.95f64, 0.75] {
             let mut cfg = YcsbConfig::new(3_000, mix);
             cfg.seed = 11;
@@ -30,10 +31,10 @@ fn bench_mixed(c: &mut Criterion) {
                 |b| {
                     b.iter(|| match w.next_op() {
                         Op::Read(k) => {
-                            cluster.get(0, &k).unwrap();
+                            client.get(0, &k).unwrap();
                         }
                         Op::Update(k, v) => {
-                            cluster.put(0, k, v).unwrap();
+                            client.put(0, k, v).unwrap();
                         }
                     });
                 },

@@ -26,6 +26,7 @@
 use logbase::{
     CompactionScheduler, CompactionSchedulerConfig, LogGcConfig, ServerConfig, TabletServer,
 };
+use logbase_bench::splitmix;
 use logbase_common::schema::TableSchema;
 use logbase_common::{Result, Value};
 use logbase_dfs::{Dfs, DfsConfig};
@@ -74,13 +75,6 @@ struct Arm {
     scheduler_ticks: u64,
     /// Every key read back its latest value after the run.
     reads_ok: bool,
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn fill_byte(seed: u64, round: usize, key: u64) -> u8 {

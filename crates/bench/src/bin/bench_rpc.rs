@@ -36,6 +36,7 @@
 //! exits non-zero if the adaptive arm's goodput past the knee collapsed
 //! below 50% of its peak.
 
+use logbase_bench::percentile_us;
 use logbase_cluster::{
     Client, ClientConfig, Cluster, ClusterConfig, EngineKind, NetServerConfig, RetryBudgetConfig,
     TcpTransport,
@@ -370,14 +371,6 @@ fn run_point(
     merged.elapsed = t0.elapsed().as_secs_f64().max(f64::EPSILON);
     merged.lats_ns.sort_unstable();
     merged
-}
-
-fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
-    sorted_ns[idx] as f64 / 1000.0
 }
 
 fn load_client_config() -> ClientConfig {

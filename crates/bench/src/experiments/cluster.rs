@@ -61,11 +61,14 @@ fn run_mixed(cluster: &Cluster, scale: &Scale, update_fraction: f64) -> Result<(
     let read_ns = AtomicU64::new(0);
     let read_count = AtomicU64::new(0);
     let total = scale.records_per_node * nodes as u64;
+    // The paper's benchmark clients: one thread per node, all going
+    // through the cluster's client like any other caller.
+    let client = cluster.client();
     let started = Instant::now();
     std::thread::scope(|s| -> Result<()> {
         let mut handles = Vec::new();
         for node in 0..nodes {
-            let cluster = &cluster;
+            let client = &client;
             let update_ns = &update_ns;
             let update_count = &update_count;
             let read_ns = &read_ns;
@@ -79,10 +82,10 @@ fn run_mixed(cluster: &Cluster, scale: &Scale, update_fraction: f64) -> Result<(
                 for _ in 0..scale.warmup_per_node {
                     match w.next_op() {
                         Op::Read(k) => {
-                            cluster.get(0, &k)?;
+                            client.get(0, &k)?;
                         }
                         Op::Update(k, v) => {
-                            cluster.put(0, k, v)?;
+                            client.put(0, k, v)?;
                         }
                     }
                 }
@@ -90,13 +93,13 @@ fn run_mixed(cluster: &Cluster, scale: &Scale, update_fraction: f64) -> Result<(
                     match w.next_op() {
                         Op::Read(k) => {
                             let t = Instant::now();
-                            cluster.get(0, &k)?;
+                            client.get(0, &k)?;
                             read_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             read_count.fetch_add(1, Ordering::Relaxed);
                         }
                         Op::Update(k, v) => {
                             let t = Instant::now();
-                            cluster.put(0, k, v)?;
+                            client.put(0, k, v)?;
                             update_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
                             update_count.fetch_add(1, Ordering::Relaxed);
                         }

@@ -32,3 +32,21 @@ pub mod setup;
 
 pub use report::{Figure, Row};
 pub use setup::{Scale, SingleNode};
+
+/// The `q`-quantile of ascending nanosecond samples, in microseconds
+/// (0 for no samples). Shared by the `bench_*` binaries.
+pub fn percentile_us(sorted_ns: &[u64], q: f64) -> f64 {
+    if sorted_ns.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_ns.len() - 1) as f64 * q).round() as usize;
+    sorted_ns[idx] as f64 / 1000.0
+}
+
+/// SplitMix64: the `bench_*` binaries' seeded, stateless draw.
+pub fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}

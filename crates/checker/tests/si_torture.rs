@@ -389,7 +389,8 @@ fn oracle_monotone_across_master_failover() {
                 for j in 0..PUTS {
                     let g = w * PUTS + j + seed % 7;
                     let ts = c
-                        .client_put(
+                        .client()
+                        .put(
                             0,
                             logbase_workload::encode_key((g % (WRITERS * PUTS)) * stride),
                             Value::from(format!("w{w}-{j}").into_bytes()),

@@ -84,13 +84,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            // Back-compat spelling from before adaptive admission.
-            "--max-in-flight" => {
-                let n: usize = val("--max-in-flight").parse().unwrap_or_else(|_| usage());
-                let threads = net_config.dispatch_threads;
-                net_config = NetServerConfig::fixed(n);
-                net_config.dispatch_threads = threads;
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");

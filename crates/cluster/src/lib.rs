@@ -7,6 +7,12 @@
 //! data-node count equals the cluster size; a range [`Router`] plays the
 //! master's tablet-assignment role, and clients are benchmark threads.
 //!
+//! Data enters and leaves a cluster one way: through a [`Client`] over a
+//! [`Transport`] ([`Cluster::client`], [`Cluster::client_with`]), which
+//! learns tablet locations, caches them and talks to the members (§3.3).
+//! `Cluster` itself is the operator's surface — bring-up, fault and
+//! lease controls, elastic reshaping, and the bulk-load helpers.
+//!
 //! Every member holds a **session lease** in the coordination registry
 //! (the paper's Zookeeper role). Leases are driven by a logical clock:
 //! [`Cluster::heartbeat_all`] renews live members, [`Cluster::tick`]
@@ -47,9 +53,9 @@ pub const FAILOVER_CRASH_SITES: &[&str] = &[
 
 use logbase::server::LogBaseEngine;
 use logbase::{ServerConfig, TabletServer};
-use logbase_common::engine::{ScanItem, StorageEngine};
+use logbase_common::engine::StorageEngine;
 use logbase_common::metrics::MetricsHandle;
-use logbase_common::schema::{split_uniform, KeyRange, TableSchema};
+use logbase_common::schema::{split_uniform, KeyRange, TableSchema, TabletDesc, TabletId};
 use logbase_common::{Error, Result, RowKey, Timestamp, Value};
 use logbase_coordination::{LockService, MemberId, MemberState, Registry, Tick, TimestampOracle};
 use logbase_dfs::{Dfs, DfsConfig};
@@ -103,8 +109,6 @@ pub struct ClusterConfig {
     /// Master seed for the DFS fault injector (0 keeps it dormant until
     /// a test arms per-node specs through [`Dfs::fault_injector`]).
     pub dfs_fault_seed: u64,
-    /// Run the DFS background re-replication sweeper.
-    pub dfs_auto_repair: bool,
     /// Session-lease TTL in logical-clock ticks: a member missing this
     /// many ticks without a heartbeat is declared dead.
     pub lease_ttl_ticks: Tick,
@@ -122,7 +126,6 @@ impl ClusterConfig {
             hbase_flush_bytes: 4 * 1024 * 1024,
             table: "usertable".to_string(),
             dfs_fault_seed: 0,
-            dfs_auto_repair: false,
             lease_ttl_ticks: 3,
         }
     }
@@ -131,20 +134,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn with_dfs_fault_seed(mut self, seed: u64) -> Self {
         self.dfs_fault_seed = seed;
-        self
-    }
-
-    /// Builder-style auto-repair toggle.
-    #[must_use]
-    pub fn with_dfs_auto_repair(mut self) -> Self {
-        self.dfs_auto_repair = true;
-        self
-    }
-
-    /// Builder-style lease TTL.
-    #[must_use]
-    pub fn with_lease_ttl_ticks(mut self, ttl: Tick) -> Self {
-        self.lease_ttl_ticks = ttl.max(1);
         self
     }
 }
@@ -162,6 +151,15 @@ pub(crate) struct MemberSlot {
 }
 
 pub(crate) type MemberSlots = Arc<RwLock<Vec<MemberSlot>>>;
+
+/// Where [`Cluster::stand_up`] gets a member's state from.
+enum Boot {
+    /// A brand-new member serving these tablets (LogBase; none means it
+    /// waits for the master to assign it some).
+    Fresh(Vec<TabletDesc>),
+    /// Rebuild from the member's checkpoint and log on the shared DFS.
+    Recover,
+}
 
 /// A master candidate's registry session.
 struct MasterSeat {
@@ -189,13 +187,10 @@ pub struct Cluster {
 impl Cluster {
     /// Bring up a cluster over a fresh in-memory DFS.
     pub fn create(config: ClusterConfig) -> Result<Self> {
-        let mut dfs_config =
+        let dfs = Dfs::new(
             DfsConfig::in_memory(config.nodes.max(config.replication), config.replication)
-                .with_fault_seed(config.dfs_fault_seed);
-        if config.dfs_auto_repair {
-            dfs_config = dfs_config.with_auto_repair(Duration::from_millis(50));
-        }
-        let dfs = Dfs::new(dfs_config);
+                .with_fault_seed(config.dfs_fault_seed),
+        );
         Self::create_on(config, dfs)
     }
 
@@ -224,57 +219,7 @@ impl Cluster {
         }
         let masters = Arc::new(Mutex::new(seats));
 
-        let mut slots_vec: Vec<MemberSlot> = Vec::with_capacity(config.nodes);
-        for i in 0..config.nodes {
-            let name = format!("srv-{i}");
-            let (session, token) =
-                registry.register_session(&name, MemberState::TabletServer, config.lease_ttl_ticks);
-            let mut slot = MemberSlot {
-                name: name.clone(),
-                session: Some(session),
-                engine: None,
-                server: None,
-                heartbeating: true,
-                incarnation: 0,
-            };
-            match config.engine {
-                EngineKind::LogBase => {
-                    let server = TabletServer::create_with(
-                        dfs.clone(),
-                        ServerConfig::new(&name).with_segment_bytes(config.segment_bytes),
-                        oracle.clone(),
-                        locks.clone(),
-                    )?;
-                    server.register_table(TableSchema::single_group(&config.table, &["v"]))?;
-                    // Master role: assign this member its key-range tablet.
-                    let descs =
-                        split_uniform(&config.table, config.nodes as u32, config.key_domain);
-                    server.assign_tablet(descs[i].clone())?;
-                    server.set_fencing(token);
-                    slot.engine = Some(Arc::new(LogBaseEngine::new(
-                        Arc::clone(&server),
-                        &config.table,
-                    )));
-                    slot.server = Some(server);
-                }
-                EngineKind::HBase => {
-                    let engine = HBaseEngine::create_with(
-                        dfs.clone(),
-                        HBaseConfig::new(&name).with_flush_bytes(config.hbase_flush_bytes),
-                        oracle.clone(),
-                    )?;
-                    slot.engine = Some(engine);
-                }
-                EngineKind::Lrs => {
-                    let mut lrs_config = LrsConfig::new(&name);
-                    lrs_config.segment_bytes = config.segment_bytes;
-                    let engine = LrsEngine::create_with(dfs.clone(), lrs_config, oracle.clone())?;
-                    slot.engine = Some(engine);
-                }
-            }
-            slots_vec.push(slot);
-        }
-        let slots: MemberSlots = Arc::new(RwLock::new(slots_vec));
+        let slots: MemberSlots = Arc::new(RwLock::new(Vec::with_capacity(config.nodes)));
 
         // LogBase clusters get the failover master; its expiry watcher
         // opens the ownership gap the moment a session dies.
@@ -296,7 +241,7 @@ impl Cluster {
             Arc::clone(dfs.metrics()),
         ));
 
-        Ok(Cluster {
+        let cluster = Cluster {
             config,
             dfs,
             slots,
@@ -310,6 +255,73 @@ impl Cluster {
             service,
             net: Mutex::new(None),
             client: OnceLock::new(),
+        };
+        // Master role: each member is assigned its key-range tablet.
+        let nodes = cluster.config.nodes as u32;
+        let descs = split_uniform(&cluster.config.table, nodes, cluster.config.key_domain);
+        for (i, desc) in descs.into_iter().enumerate() {
+            let slot = cluster.stand_up(format!("srv-{i}"), Boot::Fresh(vec![desc]))?;
+            cluster.slots.write().push(slot);
+        }
+        Ok(cluster)
+    }
+
+    /// Stand one member up: build (or recover) its engine, register its
+    /// session lease, arm fencing with the lease's token, and return the
+    /// filled seat. The one place a member comes into being — initial
+    /// bring-up, revival, scale-out and planned restart all go through it.
+    fn stand_up(&self, name: String, boot: Boot) -> Result<MemberSlot> {
+        let config = &self.config;
+        let (engine, server): (Arc<dyn StorageEngine>, _) = match config.engine {
+            EngineKind::LogBase => {
+                let server_config =
+                    ServerConfig::new(&name).with_segment_bytes(config.segment_bytes);
+                let (dfs, oracle, locks) =
+                    (self.dfs.clone(), self.oracle.clone(), self.locks.clone());
+                let server = match boot {
+                    Boot::Fresh(tablets) => {
+                        let server = TabletServer::create_with(dfs, server_config, oracle, locks)?;
+                        server.register_table(TableSchema::single_group(&config.table, &["v"]))?;
+                        for desc in tablets {
+                            server.assign_tablet(desc)?;
+                        }
+                        server
+                    }
+                    Boot::Recover => TabletServer::open_with(dfs, server_config, oracle, locks)?,
+                };
+                let engine = LogBaseEngine::new(Arc::clone(&server), &config.table);
+                (Arc::new(engine), Some(server))
+            }
+            EngineKind::HBase => {
+                let hbase_config =
+                    HBaseConfig::new(&name).with_flush_bytes(config.hbase_flush_bytes);
+                let engine =
+                    HBaseEngine::create_with(self.dfs.clone(), hbase_config, self.oracle.clone())?;
+                (engine, None)
+            }
+            EngineKind::Lrs => {
+                let mut lrs_config = LrsConfig::new(&name);
+                lrs_config.segment_bytes = config.segment_bytes;
+                let engine =
+                    LrsEngine::create_with(self.dfs.clone(), lrs_config, self.oracle.clone())?;
+                (engine, None)
+            }
+        };
+        let (session, token) = self.registry.register_session(
+            &name,
+            MemberState::TabletServer,
+            config.lease_ttl_ticks,
+        );
+        if let Some(server) = &server {
+            server.set_fencing(token);
+        }
+        Ok(MemberSlot {
+            name,
+            session: Some(session),
+            engine: Some(engine),
+            server,
+            heartbeating: true,
+            incarnation: 0,
         })
     }
 
@@ -348,77 +360,10 @@ impl Cluster {
         self.slots.read().get(i).and_then(|s| s.session)
     }
 
-    /// The engine serving `key`. Panics if the member is down — the
-    /// retry-aware path is [`Cluster::client_get`]/[`Cluster::client_put`].
-    pub fn engine_for(&self, key: &[u8]) -> Arc<dyn StorageEngine> {
-        let m = self.router.route(key) as usize;
-        self.slots.read()[m]
-            .engine
-            .clone()
-            .expect("member serving this key is down; use the client_* retry path")
-    }
-
-    /// Engine of member `i`. Panics if the member is down.
-    pub fn engine(&self, i: usize) -> Arc<dyn StorageEngine> {
-        self.slots.read()[i]
-            .engine
-            .clone()
-            .expect("member is down; use the client_* retry path")
-    }
-
     /// LogBase tablet server of member `i` (LogBase clusters only,
     /// `None` for other engines or a dead member).
     pub fn logbase_server(&self, i: usize) -> Option<Arc<TabletServer>> {
         self.slots.read().get(i).and_then(|s| s.server.clone())
-    }
-
-    /// Routed single-record write (panics if the member is down).
-    pub fn put(&self, cg: u16, key: RowKey, value: Value) -> Result<Timestamp> {
-        self.engine_for(&key).put(cg, key, value)
-    }
-
-    /// Routed point read (panics if the member is down).
-    pub fn get(&self, cg: u16, key: &[u8]) -> Result<Option<Value>> {
-        self.engine_for(key).get(cg, key)
-    }
-
-    /// Routed multiversion read (panics if the member is down).
-    pub fn get_at(&self, cg: u16, key: &[u8], at: Timestamp) -> Result<Option<Value>> {
-        self.engine_for(key).get_at(cg, key, at)
-    }
-
-    /// Routed delete (panics if the member is down).
-    pub fn delete(&self, cg: u16, key: &[u8]) -> Result<()> {
-        self.engine_for(key).delete(cg, key)
-    }
-
-    /// Single-shot routed write observing failover state: fails with a
-    /// retriable `Unavailable` in the ownership gap or while the owner
-    /// is down, and remaps `TabletNotServed` (a stale route hit) to the
-    /// retriable `TabletMoved`.
-    pub fn try_put(&self, cg: u16, key: RowKey, value: Value) -> Result<Timestamp> {
-        let engine = self.routed_engine(&key)?;
-        engine.put(cg, key, value).map_err(remap_stale_route)
-    }
-
-    /// Single-shot routed read observing failover state; see
-    /// [`Cluster::try_put`].
-    pub fn try_get(&self, cg: u16, key: &[u8]) -> Result<Option<Value>> {
-        let engine = self.routed_engine(key)?;
-        engine.get(cg, key).map_err(remap_stale_route)
-    }
-
-    /// Routed write that rides through failover: retries with backoff
-    /// while the key's tablet is in the ownership gap. Goes through the
-    /// cluster's [`Client`] — over TCP when `LOGBASE_TRANSPORT=tcp`,
-    /// in-process otherwise.
-    pub fn client_put(&self, cg: u16, key: RowKey, value: Value) -> Result<Timestamp> {
-        self.client().put(cg, key, value)
-    }
-
-    /// Routed read that rides through failover; see [`Cluster::client_put`].
-    pub fn client_get(&self, cg: u16, key: &[u8]) -> Result<Option<Value>> {
-        self.client().get(cg, key)
     }
 
     /// The shared RPC dispatcher (one per cluster, used by every
@@ -466,12 +411,7 @@ impl Cluster {
             } else {
                 Arc::new(InProcessTransport::new(Arc::clone(&self.service)))
             };
-            Arc::new(Client::new(
-                transport,
-                self.config.table.clone(),
-                Arc::clone(self.dfs.metrics()),
-                ClientConfig::default(),
-            ))
+            Arc::new(self.client_with(transport, ClientConfig::default()))
         }))
     }
 
@@ -484,13 +424,6 @@ impl Cluster {
             Arc::clone(self.dfs.metrics()),
             config,
         )
-    }
-
-    fn routed_engine(&self, key: &[u8]) -> Result<Arc<dyn StorageEngine>> {
-        let m = self.router.route_checked(key)? as usize;
-        self.slots.read()[m].engine.clone().ok_or_else(|| {
-            Error::Unavailable(format!("member {m} is down; failover has not completed"))
-        })
     }
 
     // ---- lease / failover controls -------------------------------------
@@ -558,38 +491,21 @@ impl Cluster {
             EngineKind::LogBase,
             "resume_server requires a LogBase cluster"
         );
-        let mut slots = self.slots.write();
-        let slot = &mut slots[i];
         // Retire the old session explicitly: if the lease has not yet
         // expired this prevents a later spurious expiry event, and if
         // it has, this is a no-op.
-        if let Some(old) = slot.session.take() {
+        let (old_session, incarnation) = {
+            let mut slots = self.slots.write();
+            (slots[i].session.take(), slots[i].incarnation + 1)
+        };
+        if let Some(old) = old_session {
             self.registry.mark_dead(old);
         }
-        slot.incarnation += 1;
-        let base = format!("srv-{i}");
-        let name = format!("{base}-r{}", slot.incarnation);
-        let server = TabletServer::create_with(
-            self.dfs.clone(),
-            ServerConfig::new(&name).with_segment_bytes(self.config.segment_bytes),
-            self.oracle.clone(),
-            self.locks.clone(),
-        )?;
-        server.register_table(TableSchema::single_group(&self.config.table, &["v"]))?;
-        let (session, token) = self.registry.register_session(
-            &name,
-            MemberState::TabletServer,
-            self.config.lease_ttl_ticks,
-        );
-        server.set_fencing(token);
-        slot.name = name;
-        slot.session = Some(session);
-        slot.engine = Some(Arc::new(LogBaseEngine::new(
-            Arc::clone(&server),
-            &self.config.table,
-        )));
-        slot.server = Some(server);
-        slot.heartbeating = true;
+        let revived = self.stand_up(format!("srv-{i}-r{incarnation}"), Boot::Fresh(Vec::new()))?;
+        self.slots.write()[i] = MemberSlot {
+            incarnation,
+            ..revived
+        };
         Ok(())
     }
 
@@ -636,26 +552,6 @@ impl Cluster {
     }
 
     // ---- bulk / benchmark helpers --------------------------------------
-
-    /// Cluster-wide range scan: fan out to every live member, merge in
-    /// key order (sub-ranges are disjoint, so concatenation in node
-    /// order is already sorted).
-    pub fn range_scan(&self, cg: u16, range: &KeyRange, limit: usize) -> Result<Vec<ScanItem>> {
-        let engines: Vec<Arc<dyn StorageEngine>> = self
-            .slots
-            .read()
-            .iter()
-            .filter_map(|s| s.engine.clone())
-            .collect();
-        let mut out = Vec::new();
-        for engine in engines {
-            if out.len() >= limit {
-                break;
-            }
-            out.extend(engine.range_scan(cg, range, limit - out.len())?);
-        }
-        Ok(out)
-    }
 
     /// Parallel bulk load (the YCSB load phase): one loader thread per
     /// member inserts that member's keys. Returns the wall-clock time.
@@ -731,6 +627,17 @@ impl Cluster {
             EngineKind::LogBase,
             "scale_out_logbase requires a LogBase cluster"
         );
+        // `NetServer::start` binds a fixed member set once: a seat added
+        // afterwards would have no listener and an empty advertised
+        // address, and TCP clients learning its route would retry into
+        // nothing until their deadline.
+        if self.net.lock().is_some() {
+            return Err(Error::InvalidArgument(
+                "scale_out_logbase: TCP listeners are already running and NetServer cannot \
+                 grow its member set; scale out before start_net"
+                    .into(),
+            ));
+        }
         let new_id = self.nodes() as u32;
         // Donor: the member owning the widest range.
         let donor = {
@@ -760,27 +667,17 @@ impl Cluster {
             .split_member(donor, new_id, self.config.key_domain)?;
 
         // Bring up the newcomer with the upper half assigned.
-        let name = format!("srv-{new_id}");
-        let (session, token) = self.registry.register_session(
-            &name,
-            MemberState::TabletServer,
-            self.config.lease_ttl_ticks,
-        );
-        let server = TabletServer::create_with(
-            self.dfs.clone(),
-            ServerConfig::new(&name).with_segment_bytes(self.config.segment_bytes),
-            self.oracle.clone(),
-            self.locks.clone(),
+        let newcomer = self.stand_up(
+            format!("srv-{new_id}"),
+            Boot::Fresh(vec![TabletDesc {
+                id: TabletId {
+                    table: self.config.table.clone(),
+                    range_index: new_id,
+                },
+                range: upper.clone(),
+            }]),
         )?;
-        server.register_table(TableSchema::single_group(&self.config.table, &["v"]))?;
-        server.assign_tablet(logbase_common::schema::TabletDesc {
-            id: logbase_common::schema::TabletId {
-                table: self.config.table.clone(),
-                range_index: new_id,
-            },
-            range: upper.clone(),
-        })?;
-        server.set_fencing(token);
+        let server = newcomer.server.as_ref().expect("LogBase member");
 
         // Migrate the upper half's records, preserving timestamps.
         let donor_server = self
@@ -824,17 +721,7 @@ impl Cluster {
         };
         donor_server.resize_tablet(&self.config.table, donor_desc.id.range_index, lower)?;
 
-        self.slots.write().push(MemberSlot {
-            name,
-            session: Some(session),
-            engine: Some(Arc::new(LogBaseEngine::new(
-                Arc::clone(&server),
-                &self.config.table,
-            ))),
-            server: Some(server),
-            heartbeating: true,
-            incarnation: 0,
-        });
+        self.slots.write().push(newcomer);
         Ok(new_id as usize)
     }
 
@@ -905,41 +792,25 @@ impl Cluster {
             EngineKind::LogBase,
             "crash_and_recover_logbase requires a LogBase cluster"
         );
-        let (name, old_session) = {
+        let (name, old_session, incarnation) = {
             let mut slots = self.slots.write();
             let slot = &mut slots[i];
             // Drop the in-memory state (the crash).
             slot.engine = None;
             slot.server = None;
-            (slot.name.clone(), slot.session.take())
+            (slot.name.clone(), slot.session.take(), slot.incarnation)
         };
         // Planned: retire the old session without firing failover.
         if let Some(old) = old_session {
             self.registry.mark_dead(old);
         }
         let start = Instant::now();
-        let server = TabletServer::open_with(
-            self.dfs.clone(),
-            ServerConfig::new(&name).with_segment_bytes(self.config.segment_bytes),
-            self.oracle.clone(),
-            self.locks.clone(),
-        )?;
+        let recovered = self.stand_up(name, Boot::Recover)?;
         let elapsed = start.elapsed();
-        let (session, token) = self.registry.register_session(
-            &name,
-            MemberState::TabletServer,
-            self.config.lease_ttl_ticks,
-        );
-        server.set_fencing(token);
-        let mut slots = self.slots.write();
-        let slot = &mut slots[i];
-        slot.session = Some(session);
-        slot.engine = Some(Arc::new(LogBaseEngine::new(
-            Arc::clone(&server),
-            &self.config.table,
-        )));
-        slot.server = Some(server);
-        slot.heartbeating = true;
+        self.slots.write()[i] = MemberSlot {
+            incarnation,
+            ..recovered
+        };
         Ok(elapsed)
     }
 }
@@ -970,15 +841,6 @@ fn heartbeat_members(registry: &Registry, slots: &MemberSlots, masters: &Mutex<V
     }
 }
 
-/// A client whose cached route raced a reassignment hit a server that
-/// no longer serves the tablet: retriable, the router has the new owner.
-fn remap_stale_route(e: Error) -> Error {
-    match e {
-        Error::TabletNotServed(d) => Error::TabletMoved(d),
-        other => other,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -991,39 +853,98 @@ mod tests {
         Value::copy_from_slice(s.as_bytes())
     }
 
-    fn check_basic_ops(engine: EngineKind) {
+    /// One client per transport over the same cluster.
+    fn both_transports(c: &Cluster) -> [Client; 2] {
+        let net = c.start_net(NetServerConfig::default()).unwrap();
+        let inproc = Arc::new(InProcessTransport::new(Arc::clone(c.service())));
+        let tcp = Arc::new(TcpTransport::for_server(&net));
+        [
+            c.client_with(inproc, ClientConfig::default()),
+            c.client_with(tcp, ClientConfig::default()),
+        ]
+    }
+
+    /// `engine` serves the whole client surface, and the two transports
+    /// cannot be told apart by what they return.
+    fn check_client_ops_over_both_transports(engine: EngineKind) {
         let c = Cluster::create(ClusterConfig::new(3, engine)).unwrap();
-        let domain = c.config().key_domain;
-        for i in 0..30u64 {
-            let k = i * (domain / 30);
-            c.put(0, key(k), val(&format!("v{i}"))).unwrap();
+        let stride = c.config().key_domain / 300;
+        let parts = c.partition_keys((0..300u64).map(|i| key(i * stride)));
+        c.parallel_load(0, &parts, 64).unwrap();
+        let clients = both_transports(&c);
+
+        // Each client versions a fresh key and deletes a loaded one.
+        let mut first_versions = Vec::new();
+        for (n, client) in clients.iter().enumerate() {
+            let fresh = key(n as u64 * 100 * stride + 1);
+            let t1 = client.put(0, fresh.clone(), val("v1")).unwrap();
+            let t2 = client.put(0, fresh.clone(), val("v2")).unwrap();
+            assert!(t2 > t1, "{}: commit order", engine.name());
+            client.delete(0, &key(n as u64 * 100 * stride)).unwrap();
+            first_versions.push((fresh, t1));
         }
-        for i in 0..30u64 {
-            let k = i * (domain / 30);
-            assert_eq!(
-                c.get(0, &key(k)).unwrap(),
-                Some(val(&format!("v{i}"))),
-                "{}: key {k}",
-                engine.name()
-            );
-        }
-        c.delete(0, &key(0)).unwrap();
-        assert!(c.get(0, &key(0)).unwrap().is_none());
+
+        let mid = KeyRange::new(key(90 * stride), key(210 * stride));
+        let observe = |client: &Client| {
+            let mut gets = Vec::new();
+            for (n, (fresh, t1)) in first_versions.iter().enumerate() {
+                gets.push(client.get(0, fresh).unwrap());
+                gets.push(client.get_at(0, fresh, *t1).unwrap());
+                gets.push(client.get(0, &key(n as u64 * 100 * stride)).unwrap());
+            }
+            let all = client.range_scan(0, &KeyRange::all(), usize::MAX).unwrap();
+            let some = client.range_scan(0, &KeyRange::all(), 50).unwrap();
+            let slice = client.range_scan(0, &mid, usize::MAX).unwrap();
+            (gets, all, some, slice)
+        };
+        let (gets, all, some, slice) = observe(&clients[0]);
+        assert_eq!(
+            gets,
+            vec![[Some(val("v2")), Some(val("v1")), None]; 2].concat(),
+            "{}",
+            engine.name()
+        );
+        // 300 loaded + 2 fresh - 2 deleted, in key order.
+        assert_eq!(all.len(), 300, "{}", engine.name());
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(some, all[..50]);
+        // [90, 210) spans all three members; key 100 was deleted and
+        // the second client's fresh key (100 * stride + 1) is inside.
+        assert_eq!(slice.len(), 120, "{}", engine.name());
+        assert!(slice.iter().all(|(k, _, _)| mid.contains(k)));
+        assert_eq!(
+            observe(&clients[1]),
+            (gets, all, some, slice),
+            "{}: tcp diverged from in-process",
+            engine.name()
+        );
     }
 
     #[test]
-    fn logbase_cluster_basic_ops() {
-        check_basic_ops(EngineKind::LogBase);
+    fn logbase_serves_every_client_op_identically_over_both_transports() {
+        check_client_ops_over_both_transports(EngineKind::LogBase);
     }
 
     #[test]
-    fn hbase_cluster_basic_ops() {
-        check_basic_ops(EngineKind::HBase);
+    fn hbase_serves_every_client_op_identically_over_both_transports() {
+        check_client_ops_over_both_transports(EngineKind::HBase);
     }
 
     #[test]
-    fn lrs_cluster_basic_ops() {
-        check_basic_ops(EngineKind::Lrs);
+    fn lrs_serves_every_client_op_identically_over_both_transports() {
+        check_client_ops_over_both_transports(EngineKind::Lrs);
+    }
+
+    #[test]
+    fn scale_out_under_live_listeners_fails_fast_and_changes_nothing() {
+        let mut c = Cluster::create(ClusterConfig::new(2, EngineKind::LogBase)).unwrap();
+        c.start_net(NetServerConfig::default()).unwrap();
+        let before = c.service().routes();
+        let err = c.scale_out_logbase().unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument(_)), "got {err}");
+        assert!(!err.is_retriable());
+        assert_eq!(c.nodes(), 2);
+        assert_eq!(c.service().routes(), before);
     }
 
     #[test]
@@ -1044,33 +965,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_load_then_cluster_scan() {
-        let c = Cluster::create(ClusterConfig::new(3, EngineKind::LogBase)).unwrap();
-        let keys: Vec<RowKey> = (0..300u64)
-            .map(|i| key(i * (c.config().key_domain / 300)))
-            .collect();
-        let parts = c.partition_keys(keys);
-        c.parallel_load(0, &parts, 64).unwrap();
-        let out = c.range_scan(0, &KeyRange::all(), usize::MAX).unwrap();
-        assert_eq!(out.len(), 300);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        let limited = c.range_scan(0, &KeyRange::all(), 50).unwrap();
-        assert_eq!(limited.len(), 50);
-    }
-
-    #[test]
     fn logbase_member_crash_recovery() {
         let mut c = Cluster::create(ClusterConfig::new(3, EngineKind::LogBase)).unwrap();
         let domain = c.config().key_domain;
+        let client = c.client();
         for i in 0..90u64 {
-            c.put(0, key(i * (domain / 90)), val("v")).unwrap();
+            client.put(0, key(i * (domain / 90)), val("v")).unwrap();
         }
         // Checkpoint member 1 so its recovery is fast, then crash it.
         c.logbase_server(1).unwrap().checkpoint().unwrap();
         let took = c.crash_and_recover_logbase(1).unwrap();
         assert!(took < Duration::from_secs(10));
         for i in 0..90u64 {
-            assert_eq!(c.get(0, &key(i * (domain / 90))).unwrap(), Some(val("v")));
+            assert_eq!(
+                client.get(0, &key(i * (domain / 90))).unwrap(),
+                Some(val("v"))
+            );
         }
     }
 
@@ -1094,7 +1004,7 @@ mod tests {
         let domain = c.config().key_domain;
         let mut last = Timestamp::ZERO;
         for i in 0..30u64 {
-            let ts = c.put(0, key(i * (domain / 30)), val("v")).unwrap();
+            let ts = c.client().put(0, key(i * (domain / 30)), val("v")).unwrap();
             assert!(ts > last, "global commit order violated");
             last = ts;
         }
@@ -1104,8 +1014,10 @@ mod tests {
     fn killed_member_fails_over_without_manual_recovery() {
         let c = Cluster::create(ClusterConfig::new(3, EngineKind::LogBase)).unwrap();
         let domain = c.config().key_domain;
+        let client = c.client();
         for i in 0..60u64 {
-            c.client_put(0, key(i * (domain / 60)), val(&format!("v{i}")))
+            client
+                .put(0, key(i * (domain / 60)), val(&format!("v{i}")))
                 .unwrap();
         }
         c.kill_server(1);
@@ -1126,12 +1038,12 @@ mod tests {
         assert!(c.routes().iter().all(|r| r.member != 1));
         for i in 0..60u64 {
             assert_eq!(
-                c.client_get(0, &key(i * (domain / 60))).unwrap(),
+                client.get(0, &key(i * (domain / 60))).unwrap(),
                 Some(val(&format!("v{i}"))),
                 "key {i} lost in failover"
             );
         }
         // The seat is empty but the cluster keeps serving writes.
-        c.client_put(0, key(domain / 2), val("after")).unwrap();
+        client.put(0, key(domain / 2), val("after")).unwrap();
     }
 }

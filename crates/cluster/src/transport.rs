@@ -6,15 +6,14 @@
 //!
 //! - [`InProcessTransport`] — a function call into the shared
 //!   [`ClusterService`]. Zero marshalling, zero copies beyond `Bytes`
-//!   refcounts: the path every pre-existing test took, now expressed
-//!   through the same seam as TCP.
+//!   refcounts, through the same seam as TCP.
 //! - `TcpTransport` (in [`crate::net`]) — length-prefixed CRC frames
 //!   over pooled, pipelined connections.
 //!
 //! # Retry semantics
 //!
-//! [`Client`] mirrors the in-process `client_put`/`client_get` contract
-//! exactly: bounded exponential backoff with deterministic jitter
+//! [`Client`] is the only data path into a cluster, over either
+//! transport: bounded exponential backoff with deterministic jitter
 //! (reusing [`RetryPolicy`]'s schedule) retries everything
 //! [`Error::is_retriable`] admits — `Unavailable` (ownership gap, dead
 //! seat, connection refused/reset), `Busy` (load shed), `TabletMoved`
@@ -55,8 +54,10 @@
 
 use crate::service::ClusterService;
 use logbase::endpoint::{TxnEndpoint, TxnSession};
+use logbase_common::engine::ScanItem;
 use logbase_common::metrics::{Metrics, MetricsHandle};
 use logbase_common::rpc::{Request, Response, RouteInfo};
+use logbase_common::schema::KeyRange;
 use logbase_common::{Error, Result, RetryPolicy, RowKey, Timestamp, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -152,8 +153,8 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            // Parity with the in-process path: RetryPolicy::new(400)
-            // rides out a full lease expiry + failover.
+            // RetryPolicy::new(400) rides out a full lease expiry +
+            // failover.
             op_deadline: Duration::from_secs(30),
             retry: RetryPolicy::new(400),
             retry_budget: RetryBudgetConfig::default(),
@@ -231,14 +232,6 @@ impl RetryBudget {
     }
 }
 
-/// A cached routing entry.
-#[derive(Clone)]
-struct CachedRoute {
-    start: RowKey,
-    end: Option<RowKey>,
-    member: u32,
-}
-
 /// Transport-agnostic cluster client: routing cache + deadline-capped
 /// retries over any [`Transport`].
 pub struct Client {
@@ -246,7 +239,7 @@ pub struct Client {
     config: ClientConfig,
     table: String,
     metrics: MetricsHandle,
-    routes: RwLock<Vec<CachedRoute>>,
+    routes: RwLock<Vec<RouteInfo>>,
     budget: RetryBudget,
     /// Monotonic count of `TabletMoved` invalidations; feeds the
     /// per-client re-resolve jitter stream.
@@ -396,6 +389,44 @@ impl Client {
         }
     }
 
+    /// Cluster-wide range scan: walk the cached routing table in key
+    /// order and scan each route's owner for its slice of `range`,
+    /// until `limit` items. Routes are disjoint and sorted, so the
+    /// concatenation is the key-order merge.
+    ///
+    /// A member answers a scan from the tablets it serves *now*, so a
+    /// route that went stale by narrowing (a split) would silently lose
+    /// the rows that moved away. The walk is therefore validated
+    /// optimistically: it stands only if the table the cluster
+    /// advertises afterwards is the one that was walked; otherwise the
+    /// cache is invalidated and the scan restarts. Not a snapshot read —
+    /// each member scans at its own latest timestamp.
+    pub fn range_scan(&self, cg: u16, range: &KeyRange, limit: usize) -> Result<Vec<ScanItem>> {
+        let deadline = Instant::now() + self.config.op_deadline;
+        loop {
+            let walked = self.cached_routes(deadline)?;
+            let mut out = Vec::new();
+            for route in &walked {
+                if out.len() >= limit {
+                    break;
+                }
+                let slice = range.intersect(&KeyRange {
+                    start: route.start.clone(),
+                    end: route.end.clone(),
+                });
+                if slice.is_empty() {
+                    continue;
+                }
+                let room = (limit - out.len()) as u64;
+                out.extend(self.scan_member(cg, &slice.start, slice.end, room)?);
+            }
+            if self.fetch_routes(deadline)? == walked {
+                return Ok(out);
+            }
+            self.invalidate_routes();
+        }
+    }
+
     /// The routing table as the server currently advertises it.
     pub fn routes(&self) -> Result<Vec<RouteInfo>> {
         let deadline = Instant::now() + self.config.op_deadline;
@@ -541,19 +572,19 @@ impl Client {
         if let Some(m) = lookup(&self.routes.read(), key) {
             return Ok(m);
         }
+        lookup(&self.cached_routes(deadline)?, key)
+            .ok_or_else(|| Error::TabletNotServed(format!("no route covers key {key:02x?}")))
+    }
+
+    /// The cached routing table, fetched (and cached) when cold.
+    fn cached_routes(&self, deadline: Instant) -> Result<Vec<RouteInfo>> {
+        let cached = self.routes.read().clone();
+        if !cached.is_empty() {
+            return Ok(cached);
+        }
         let fetched = self.fetch_routes(deadline)?;
-        let cached: Vec<CachedRoute> = fetched
-            .into_iter()
-            .map(|r| CachedRoute {
-                start: r.start,
-                end: r.end,
-                member: r.member,
-            })
-            .collect();
-        let m = lookup(&cached, key)
-            .ok_or_else(|| Error::TabletNotServed(format!("no route covers key {key:02x?}")))?;
-        *self.routes.write() = cached;
-        Ok(m)
+        *self.routes.write() = fetched.clone();
+        Ok(fetched)
     }
 
     /// Drop the cached routing table (counted: the satellite metric).
@@ -611,7 +642,7 @@ impl Client {
     }
 }
 
-fn lookup(routes: &[CachedRoute], key: &[u8]) -> Option<u32> {
+fn lookup(routes: &[RouteInfo], key: &[u8]) -> Option<u32> {
     routes
         .iter()
         .find(|r| key >= &r.start[..] && r.end.as_ref().is_none_or(|e| key < &e[..]))

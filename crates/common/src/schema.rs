@@ -174,6 +174,16 @@ impl KeyRange {
         }
     }
 
+    /// The keys in both `self` and `other` (possibly an empty range).
+    pub fn intersect(&self, other: &KeyRange) -> KeyRange {
+        let start = (&self.start).max(&other.start).clone();
+        let end = match (&self.end, &other.end) {
+            (Some(x), Some(y)) => Some(x.min(y).clone()),
+            (x, y) => x.as_ref().or(y.as_ref()).cloned(),
+        };
+        KeyRange { start, end }
+    }
+
     /// True when the range is empty (`end <= start`).
     pub fn is_empty(&self) -> bool {
         match &self.end {
@@ -227,6 +237,26 @@ pub fn split_uniform(table: &str, n: u32, max_key: u64) -> Vec<TabletDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn intersect_takes_the_tighter_bound_on_each_side() {
+        let bounded = KeyRange::new(&b"c"[..], &b"m"[..]);
+        let tail = KeyRange {
+            start: RowKey::from_static(b"h"),
+            end: None,
+        };
+        assert_eq!(bounded.intersect(&KeyRange::all()), bounded);
+        assert_eq!(KeyRange::all().intersect(&tail), tail);
+        assert_eq!(
+            bounded.intersect(&tail),
+            KeyRange::new(&b"h"[..], &b"m"[..])
+        );
+        assert_eq!(tail.intersect(&bounded), bounded.intersect(&tail));
+        // Disjoint ranges meet in an empty one.
+        assert!(bounded
+            .intersect(&KeyRange::new(&b"m"[..], &b"z"[..]))
+            .is_empty());
+    }
 
     #[test]
     fn single_group_schema() {

@@ -28,8 +28,6 @@ pub struct HBaseConfig {
     pub block_bytes: usize,
     /// Block cache budget (0 disables caching).
     pub block_cache_bytes: u64,
-    /// Block cache shard count (0 = default: available parallelism).
-    pub block_cache_shards: usize,
     /// SSTable count per column group that triggers a minor compaction.
     pub compaction_trigger: usize,
 }
@@ -43,7 +41,6 @@ impl HBaseConfig {
             segment_bytes: logbase_common::config::DEFAULT_SEGMENT_BYTES,
             block_bytes: 64 * 1024,
             block_cache_bytes: 16 * 1024 * 1024,
-            block_cache_shards: 0,
             compaction_trigger: 6,
         }
     }
@@ -66,13 +63,6 @@ impl HBaseConfig {
     #[must_use]
     pub fn with_block_cache(mut self, bytes: u64) -> Self {
         self.block_cache_bytes = bytes;
-        self
-    }
-
-    /// Builder-style block-cache shard-count override (0 = default).
-    #[must_use]
-    pub fn with_block_cache_shards(mut self, shards: usize) -> Self {
-        self.block_cache_shards = shards;
         self
     }
 }
@@ -146,8 +136,8 @@ impl HBaseEngine {
         writer: Arc<LogWriter>,
         oracle: TimestampOracle,
     ) -> Self {
-        let cache = (config.block_cache_bytes > 0)
-            .then(|| BlockCache::with_shards(config.block_cache_bytes, config.block_cache_shards));
+        let cache =
+            (config.block_cache_bytes > 0).then(|| BlockCache::new(config.block_cache_bytes));
         HBaseEngine {
             wal: GroupCommitLog::new(writer, GroupCommitConfig::default()),
             cgs: RwLock::new(HashMap::new()),

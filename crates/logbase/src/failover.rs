@@ -64,7 +64,7 @@ pub fn rebuild_range(
                 }
                 for tablet_meta in &tm.tablets {
                     let desc = tablet_meta.to_desc(table)?;
-                    if intersect(&desc.range, range).is_empty() {
+                    if desc.range.intersect(range).is_empty() {
                         continue;
                     }
                     for (cg, file) in tablet_meta.index_files.iter().enumerate() {
@@ -173,21 +173,6 @@ fn resolve_segment(
     } else {
         Ok(segment_name(log_prefix, segment))
     }
-}
-
-fn intersect(a: &KeyRange, b: &KeyRange) -> KeyRange {
-    let start = if a.start >= b.start {
-        a.start.clone()
-    } else {
-        b.start.clone()
-    };
-    let end = match (&a.end, &b.end) {
-        (Some(x), Some(y)) => Some(if x <= y { x.clone() } else { y.clone() }),
-        (Some(x), None) => Some(x.clone()),
-        (None, Some(y)) => Some(y.clone()),
-        (None, None) => None,
-    };
-    KeyRange { start, end }
 }
 
 #[cfg(test)]

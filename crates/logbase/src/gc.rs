@@ -13,7 +13,7 @@
 //!    `meta.json` is a crash artifact (the descriptor is written last);
 //!    its index files are deleted.
 //! 3. **Checkpoint retention.** Complete checkpoints beyond the newest
-//!    `retain` are pruned — recovery only ever reads the latest, the
+//!    [`RETAIN_CHECKPOINTS`] are pruned — recovery only ever reads the latest, the
 //!    rest are bounded history.
 //! 4. **Orphan sorted segments.** Files under `sorted/` that the
 //!    restored segment directory does not reference are unreachable
@@ -51,16 +51,19 @@ pub struct GcReport {
     pub maintenance_rolled_back: bool,
 }
 
+/// Complete checkpoints kept on DFS; older ones are pruned after each
+/// checkpoint and at startup. Recovery only ever reads the latest — the
+/// rest are bounded history.
+pub(crate) const RETAIN_CHECKPOINTS: usize = 2;
+
 /// Classify and clean the server's DFS state after a crash. `latest_seq`
 /// is the sequence of the checkpoint recovery restored (`None` when
-/// starting from the bare log); `retain` bounds complete-checkpoint
-/// history.
+/// starting from the bare log).
 pub(crate) fn startup_gc(
     dfs: &Dfs,
     server_prefix: &str,
     segdir: &SegmentDirectory,
     latest_seq: Option<u64>,
-    retain: usize,
 ) -> Result<GcReport> {
     let metrics = dfs.metrics().clone();
     let mut report = GcReport::default();
@@ -105,7 +108,7 @@ pub(crate) fn startup_gc(
         .collect();
     let prune_below = complete
         .len()
-        .checked_sub(retain.max(1))
+        .checked_sub(RETAIN_CHECKPOINTS)
         .map(|cut| complete[cut])
         .unwrap_or(0);
     for (seq, dir) in &dirs {
@@ -136,19 +139,19 @@ pub(crate) fn startup_gc(
     Ok(report)
 }
 
-/// Prune complete checkpoints beyond the newest `retain` (called after
+/// Prune complete checkpoints beyond the newest [`RETAIN_CHECKPOINTS`] (called after
 /// every successful checkpoint so history stays bounded while the
 /// server runs, not just across restarts). Partial directories are left
 /// for startup GC — while the server is live, a directory without
 /// `meta.json` may be a checkpoint in progress.
-pub(crate) fn prune_checkpoints(dfs: &Dfs, server_prefix: &str, retain: usize) -> Result<u64> {
+pub(crate) fn prune_checkpoints(dfs: &Dfs, server_prefix: &str) -> Result<u64> {
     let dirs = checkpoint_dirs(dfs, server_prefix);
     let complete: Vec<u64> = dirs
         .iter()
         .filter(|(_, d)| d.complete)
         .map(|(seq, _)| *seq)
         .collect();
-    let Some(cut) = complete.len().checked_sub(retain.max(1)) else {
+    let Some(cut) = complete.len().checked_sub(RETAIN_CHECKPOINTS) else {
         return Ok(0);
     };
     let prune_below = complete[cut];
@@ -259,7 +262,7 @@ mod tests {
             }
         }
         let segdir = SegmentDirectory::new("srv/log");
-        let report = startup_gc(&dfs, "srv", &segdir, Some(3), 2).unwrap();
+        let report = startup_gc(&dfs, "srv", &segdir, Some(3)).unwrap();
         assert_eq!(report.partial_checkpoints_removed, 1, "seq 4 had no meta");
         assert_eq!(report.checkpoints_pruned, 1, "seq 1 beyond retain 2");
         assert!(!dfs.exists("srv/ckpt/0000000001/meta.json"));
@@ -276,7 +279,7 @@ mod tests {
         assert!(id >= crate::segdir::SORTED_BASE);
         touch(&dfs, "srv/sorted/gen2/seg-000000");
         touch(&dfs, "srv/sorted/gen9/seg-000000"); // orphan
-        let report = startup_gc(&dfs, "srv", &segdir, None, 2).unwrap();
+        let report = startup_gc(&dfs, "srv", &segdir, None).unwrap();
         assert_eq!(report.orphan_segments_gced, 1);
         assert!(dfs.exists("srv/sorted/gen2/seg-000000"));
         assert!(!dfs.exists("srv/sorted/gen9/seg-000000"));
@@ -306,7 +309,7 @@ mod tests {
             },
         )
         .unwrap();
-        let report = startup_gc(&dfs, "srv", &segdir, Some(3), 2).unwrap();
+        let report = startup_gc(&dfs, "srv", &segdir, Some(3)).unwrap();
         assert!(report.maintenance_resumed);
         assert!(!report.maintenance_rolled_back);
         assert!(!dfs.exists("srv/log/segment-000000"), "input deleted");
@@ -338,7 +341,7 @@ mod tests {
         )
         .unwrap();
         // The restored checkpoint predates the manifest's commit seq.
-        let report = startup_gc(&dfs, "srv", &segdir, Some(2), 2).unwrap();
+        let report = startup_gc(&dfs, "srv", &segdir, Some(2)).unwrap();
         assert!(report.maintenance_rolled_back);
         assert!(dfs.exists("srv/log/segment-000000"), "inputs kept for redo");
         assert!(!dfs.exists("srv/sorted/gen3/seg-000000"), "orphan deleted");
@@ -375,7 +378,7 @@ mod tests {
         for seq in 1..=5u64 {
             touch(&dfs, &format!("srv/ckpt/{seq:010}/meta.json"));
         }
-        let pruned = prune_checkpoints(&dfs, "srv", 2).unwrap();
+        let pruned = prune_checkpoints(&dfs, "srv").unwrap();
         assert_eq!(pruned, 3);
         assert!(!dfs.exists("srv/ckpt/0000000003/meta.json"));
         assert!(dfs.exists("srv/ckpt/0000000004/meta.json"));

@@ -50,15 +50,6 @@ impl ReadBuffer {
         }
     }
 
-    /// Buffer with an LRU policy and an explicit shard count
-    /// (`ServerConfig::read_buffer_shards`; clamped by the cache so
-    /// small budgets stay single-shard).
-    pub fn lru_sharded(capacity_bytes: u64, shards: usize) -> Self {
-        ReadBuffer {
-            cache: Cache::lru_sharded(capacity_bytes, shards),
-        }
-    }
-
     /// Buffer with a custom replacement policy (§3.6.2: "we also design
     /// the replacement strategy as an abstracted interface").
     pub fn with_policy(capacity_bytes: u64, policy: Box<dyn ReplacementPolicy<BufferKey>>) -> Self {

@@ -57,14 +57,6 @@ pub struct ServerConfig {
     /// merging in key order. `0` = available parallelism; `1` = fully
     /// sequential scans. Results are byte-identical at any setting.
     pub scan_threads: usize,
-    /// Read-buffer shard count (`0` = available parallelism). Each shard
-    /// has its own lock + LRU instance, so concurrent point reads on
-    /// different keys do not serialize on one global cache mutex.
-    pub read_buffer_shards: usize,
-    /// Complete checkpoints kept on DFS; older ones are pruned after
-    /// each checkpoint and at startup. Recovery only ever reads the
-    /// latest — the rest are bounded history. Minimum 1.
-    pub retain_checkpoints: usize,
     /// When set, a cost-aware background compaction service starts with
     /// the server (see [`crate::scheduler`]); its rate limit is
     /// installed as the maintenance I/O budget.
@@ -84,8 +76,6 @@ impl ServerConfig {
             spill: None,
             scan_coalesce_gap: 64 * 1024,
             scan_threads: 0,
-            read_buffer_shards: 0,
-            retain_checkpoints: 2,
             compaction_scheduler: None,
         }
     }
@@ -94,13 +84,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_segment_bytes(mut self, bytes: u64) -> Self {
         self.segment_bytes = bytes;
-        self
-    }
-
-    /// Builder-style group-commit override.
-    #[must_use]
-    pub fn with_group_commit(mut self, group_commit: GroupCommitConfig) -> Self {
-        self.group_commit = group_commit;
         self
     }
 
@@ -132,25 +115,11 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style checkpoint-retention override (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_retain_checkpoints(mut self, keep: usize) -> Self {
-        self.retain_checkpoints = keep.max(1);
-        self
-    }
-
     /// Builder-style scan-thread override (0 = available parallelism,
     /// 1 = sequential).
     #[must_use]
     pub fn with_scan_threads(mut self, threads: usize) -> Self {
         self.scan_threads = threads;
-        self
-    }
-
-    /// Builder-style read-buffer shard-count override (0 = default).
-    #[must_use]
-    pub fn with_read_buffer_shards(mut self, shards: usize) -> Self {
-        self.read_buffer_shards = shards;
         self
     }
 
@@ -264,13 +233,8 @@ impl TabletServer {
         locks: LockService,
     ) -> Self {
         let log_prefix = format!("{}/log", config.name);
-        let read_buffer = (config.read_buffer_bytes > 0).then(|| {
-            if config.read_buffer_shards == 0 {
-                ReadBuffer::lru(config.read_buffer_bytes)
-            } else {
-                ReadBuffer::lru_sharded(config.read_buffer_bytes, config.read_buffer_shards)
-            }
-        });
+        let read_buffer =
+            (config.read_buffer_bytes > 0).then(|| ReadBuffer::lru(config.read_buffer_bytes));
         TabletServer {
             segdir: SegmentDirectory::new(log_prefix),
             log: GroupCommitLog::new(writer, config.group_commit.clone()),
@@ -822,7 +786,7 @@ impl TabletServer {
                 if entries.len() >= limit {
                     break;
                 }
-                let sub = intersect(range, &tablet.desc.range);
+                let sub = range.intersect(&tablet.desc.range);
                 if sub.is_empty() && sub.end.is_some() {
                     continue;
                 }
@@ -850,7 +814,7 @@ impl TabletServer {
                             return;
                         }
                         let tablet = &tablets[t];
-                        let sub = intersect(range, &tablet.desc.range);
+                        let sub = range.intersect(&tablet.desc.range);
                         if sub.is_empty() && sub.end.is_some() {
                             *slots[t].lock() = Some(Ok(Vec::new()));
                             continue;
@@ -1153,7 +1117,7 @@ impl TabletServer {
         // Bound on-DFS history: older complete checkpoints are dead
         // weight once this descriptor is durable.
         logbase_dfs::crash_point!(self.dfs, "checkpoint.before_prune");
-        crate::gc::prune_checkpoints(&self.dfs, &self.config.name, self.config.retain_checkpoints)?;
+        crate::gc::prune_checkpoints(&self.dfs, &self.config.name)?;
         Ok(meta)
     }
 
@@ -1229,7 +1193,6 @@ impl TabletServer {
             &server.config.name,
             &server.segdir,
             meta.as_ref().map(|m| m.seq),
-            server.config.retain_checkpoints,
         )?;
         *server.gc_report.lock() = report;
 
@@ -1370,21 +1333,6 @@ impl TabletServer {
             log_segment: self.log.writer().current_segment(),
         }
     }
-}
-
-fn intersect(a: &KeyRange, b: &KeyRange) -> KeyRange {
-    let start = if a.start >= b.start {
-        a.start.clone()
-    } else {
-        b.start.clone()
-    };
-    let end = match (&a.end, &b.end) {
-        (Some(x), Some(y)) => Some(if x <= y { x.clone() } else { y.clone() }),
-        (Some(x), None) => Some(x.clone()),
-        (None, Some(y)) => Some(y.clone()),
-        (None, None) => None,
-    };
-    KeyRange { start, end }
 }
 
 /// [`StorageEngine`] adapter binding a [`TabletServer`] to one table, so

@@ -122,13 +122,7 @@ fn parallel_scans_survive_maintenance() {
 #[test]
 fn scan_thread_config_is_respected() {
     let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
-    let s = TabletServer::create(
-        dfs,
-        ServerConfig::new("cfg-srv")
-            .with_scan_threads(1)
-            .with_read_buffer_shards(4),
-    )
-    .unwrap();
+    let s = TabletServer::create(dfs, ServerConfig::new("cfg-srv").with_scan_threads(1)).unwrap();
     s.create_table(TableSchema::single_group(TABLE, &["v"]))
         .unwrap();
     for i in 0..100u64 {

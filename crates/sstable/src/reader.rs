@@ -28,17 +28,6 @@ impl BlockCache {
         }
     }
 
-    /// Cache with an explicit shard count (hash-partitioned; see
-    /// `logbase_common::cache`). `0` means the default shard count.
-    pub fn with_shards(capacity_bytes: u64, shards: usize) -> Self {
-        if shards == 0 {
-            return Self::new(capacity_bytes);
-        }
-        BlockCache {
-            cache: Cache::lru_sharded(capacity_bytes, shards),
-        }
-    }
-
     fn get(&self, file: &str, offset: u64) -> Option<Arc<Block>> {
         self.cache.get(&(file.to_string(), offset))
     }

@@ -42,8 +42,7 @@ pub struct GroupCommitConfig {
     pub max_batch_bytes: usize,
     /// Upper bound on how long a batch lingers open waiting for more
     /// entries once it has its first. `Duration::ZERO` disables the
-    /// linger entirely, reducing the policy to the count-only drain
-    /// (the ablation baseline in `bench_write`).
+    /// linger entirely, reducing the policy to the count-only drain.
     pub max_batch_window: Duration,
 }
 

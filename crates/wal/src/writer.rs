@@ -54,10 +54,6 @@ pub struct LogConfig {
     /// entries raw). Compressed and raw frames coexist in one log, so
     /// the flag can change across reopens without migration.
     pub compression: Compression,
-    /// Recycle the writer's encode/compression buffers across batches
-    /// (on by default; the off position exists for the buffer-reuse
-    /// ablation in `bench_write`).
-    pub pool_buffers: bool,
 }
 
 impl LogConfig {
@@ -67,7 +63,6 @@ impl LogConfig {
             prefix: prefix.into(),
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             compression: Compression::None,
-            pool_buffers: true,
         }
     }
 
@@ -82,13 +77,6 @@ impl LogConfig {
     #[must_use]
     pub fn with_compression(mut self, compression: Compression) -> Self {
         self.compression = compression;
-        self
-    }
-
-    /// Builder-style buffer-pooling override (ablations only).
-    #[must_use]
-    pub fn with_buffer_pooling(mut self, pool: bool) -> Self {
-        self.pool_buffers = pool;
         self
     }
 }
@@ -297,8 +285,8 @@ impl LogWriter {
             gate()?;
         }
 
-        // Take the recycled buffers out of the state (fresh ones when
-        // pooling is ablated away); they are returned on every exit path.
+        // Take the recycled buffers out of the state; they are returned
+        // on every exit path.
         let mut buf = std::mem::take(&mut state.encode_buf);
         let mut payload = std::mem::take(&mut state.payload_buf);
         let mut lz4 = std::mem::take(&mut state.lz4_buf);
@@ -306,13 +294,13 @@ impl LogWriter {
 
         let result = self.encode_and_flush(&mut state, entries, &mut buf, &mut payload, &mut lz4);
 
-        if self.config.pool_buffers && buf.capacity() <= MAX_POOLED_BUF {
+        if buf.capacity() <= MAX_POOLED_BUF {
             state.encode_buf = buf;
         }
-        if self.config.pool_buffers && payload.capacity() <= MAX_POOLED_BUF {
+        if payload.capacity() <= MAX_POOLED_BUF {
             state.payload_buf = payload;
         }
-        if self.config.pool_buffers && lz4.capacity() <= MAX_POOLED_BUF {
+        if lz4.capacity() <= MAX_POOLED_BUF {
             state.lz4_buf = lz4;
         }
         result
@@ -676,21 +664,6 @@ mod tests {
         // Key+value too small to clear MIN_COMPRESS_BYTES.
         w.append("t", put_kind_sized("k", 1, 4)).unwrap();
         assert_eq!(dfs.metrics().snapshot().wal_compression_saved_bytes, before);
-    }
-
-    #[test]
-    fn buffer_pooling_off_still_round_trips() {
-        let dfs = Dfs::new(DfsConfig::in_memory(3, 2));
-        let w = LogWriter::create(
-            dfs.clone(),
-            LogConfig::new("srv-0/log").with_buffer_pooling(false),
-        )
-        .unwrap();
-        for i in 0..10 {
-            w.append("t", put_kind(&format!("k{i}"), i)).unwrap();
-        }
-        let n = crate::scan_log(&dfs, "srv-0/log", 0, 0, |_, _| Ok(())).unwrap();
-        assert_eq!(n, 10);
     }
 
     #[test]

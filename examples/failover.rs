@@ -9,19 +9,22 @@
 //!
 //! Run with: `cargo run --example failover`
 
-use logbase_cluster::{Cluster, ClusterConfig, EngineKind};
-use logbase_common::{Error, Value};
+use logbase_cluster::{ClientConfig, Cluster, ClusterConfig, EngineKind, InProcessTransport};
+use logbase_common::{Error, RetryPolicy, Value};
 use logbase_workload::encode_key;
+use std::sync::Arc;
 
 fn main() -> logbase_common::Result<()> {
     let cluster = Cluster::create(ClusterConfig::new(3, EngineKind::LogBase))?;
     let domain = cluster.config().key_domain;
     let ttl = cluster.config().lease_ttl_ticks;
+    // The cluster's client rides through failover on retries.
+    let client = cluster.client();
 
     // Load some data, checkpoint member 1 so its takeover only redoes
     // the log tail, then write a bit more.
     for i in 0..90u64 {
-        cluster.client_put(
+        client.put(
             0,
             encode_key(i * (domain / 90)),
             Value::from_static(b"durable"),
@@ -29,7 +32,7 @@ fn main() -> logbase_common::Result<()> {
     }
     cluster.logbase_server(1).unwrap().checkpoint()?;
     for i in 0..90u64 {
-        cluster.client_put(
+        client.put(
             0,
             encode_key(i * (domain / 90) + 1),
             Value::from_static(b"tail"),
@@ -47,9 +50,17 @@ fn main() -> logbase_common::Result<()> {
     }
 
     // The ownership gap is open: reads of member 1's keys fail
-    // retriably instead of returning possibly-stale data.
+    // retriably instead of returning possibly-stale data. A
+    // single-attempt client shows what each try is answered.
+    let single_shot = cluster.client_with(
+        Arc::new(InProcessTransport::new(Arc::clone(cluster.service()))),
+        ClientConfig {
+            retry: RetryPolicy::new(1),
+            ..ClientConfig::default()
+        },
+    );
     let mid = encode_key(domain / 2);
-    match cluster.try_get(0, &mid) {
+    match single_shot.get(0, &mid) {
         Err(Error::Unavailable(_)) => println!("gap open: reads return Unavailable"),
         other => println!("unexpected: {other:?}"),
     }
@@ -68,11 +79,11 @@ fn main() -> logbase_common::Result<()> {
     // All acked writes survive, reads are served by the survivors.
     for i in 0..90u64 {
         assert_eq!(
-            cluster.client_get(0, &encode_key(i * (domain / 90)))?,
+            client.get(0, &encode_key(i * (domain / 90)))?,
             Some(Value::from_static(b"durable"))
         );
         assert_eq!(
-            cluster.client_get(0, &encode_key(i * (domain / 90) + 1))?,
+            client.get(0, &encode_key(i * (domain / 90) + 1))?,
             Some(Value::from_static(b"tail"))
         );
     }
@@ -96,7 +107,7 @@ fn main() -> logbase_common::Result<()> {
     );
     println!(
         "rpc ({}): requests={} retries={} timeouts={} shed={} route_invalidations={}",
-        cluster.client().transport_name(),
+        client.transport_name(),
         m.rpc_requests,
         m.rpc_retries,
         m.rpc_timeouts,

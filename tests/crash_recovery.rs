@@ -497,7 +497,8 @@ mod failover {
             let domain = c.config().key_domain;
             let keys: Vec<RowKey> = (0..60u64).map(|i| encode_key(i * (domain / 60))).collect();
             for (i, key) in keys.iter().enumerate() {
-                c.client_put(0, key.clone(), Value::from(format!("v{i}").into_bytes()))
+                c.client()
+                    .put(0, key.clone(), Value::from(format!("v{i}").into_bytes()))
                     .unwrap();
             }
             c.kill_server(2);
@@ -520,7 +521,7 @@ mod failover {
             c.run_failover().unwrap();
             assert_eq!(c.pending_failovers(), 0);
             for (i, key) in keys.iter().enumerate() {
-                let got = c.client_get(0, key).unwrap().unwrap_or_else(|| {
+                let got = c.client().get(0, key).unwrap().unwrap_or_else(|| {
                     panic!("{site}: acked key {i} lost across crashed takeover")
                 });
                 assert_eq!(got.as_ref(), format!("v{i}").as_bytes());

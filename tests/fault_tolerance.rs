@@ -193,9 +193,8 @@ mod logbase_wal_shim {
     use logbase_dfs::Dfs;
 
     pub fn read(dfs: &Dfs, prefix: &str, ptr: LogPtr) -> Result<()> {
-        // The wal crate is not a direct dev-dependency of the
-        // integration crate; go through the server's public surface by
-        // reading the raw frame and decoding it.
+        // Read the raw frame through the DFS and decode it, as the
+        // server's long-tail read path does.
         let name = format!("{prefix}/segment-{:06}", ptr.segment);
         let bytes = dfs.read(&name, ptr.offset, u64::from(ptr.len))?;
         logbase_common::codec::decode_frame(&bytes, &name)?;
@@ -208,15 +207,16 @@ fn cluster_planned_restart_preserves_all_members_data() {
     use logbase_cluster::{Cluster, ClusterConfig, EngineKind};
     let mut cluster = Cluster::create(ClusterConfig::new(4, EngineKind::LogBase)).unwrap();
     let domain = cluster.config().key_domain;
+    let client = cluster.client();
     for i in 0..200u64 {
-        cluster
+        client
             .put(0, encode_key(i * (domain / 200)), Value::from_static(b"v"))
             .unwrap();
     }
     // Crash every member in turn; data must survive each takeover.
     for victim in 0..4 {
         cluster.crash_and_recover_logbase(victim).unwrap();
-        let scan = cluster.range_scan(0, &KeyRange::all(), usize::MAX).unwrap();
+        let scan = client.range_scan(0, &KeyRange::all(), usize::MAX).unwrap();
         assert_eq!(scan.len(), 200, "data lost after failing member {victim}");
     }
 }
@@ -224,8 +224,11 @@ fn cluster_planned_restart_preserves_all_members_data() {
 /// Automated tablet-server failover: heartbeat leases, master-driven
 /// log splitting, and zombie fencing.
 mod automated_failover {
-    use logbase_cluster::{Cluster, ClusterConfig, EngineKind};
-    use logbase_common::{Error, Value};
+    use logbase_cluster::{
+        Client, ClientConfig, Cluster, ClusterConfig, EngineKind, InProcessTransport,
+        NetServerConfig, TcpTransport, Transport,
+    };
+    use logbase_common::{Error, RetryPolicy, Value};
     use logbase_workload::encode_key;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -233,6 +236,23 @@ mod automated_failover {
 
     fn cluster(nodes: usize) -> Cluster {
         Cluster::create(ClusterConfig::new(nodes, EngineKind::LogBase)).unwrap()
+    }
+
+    /// One single-attempt client per transport: no retry loop hides the
+    /// ownership gap, so each call reports what the cluster answered.
+    fn single_shot_clients(c: &Cluster) -> [Client; 2] {
+        let net = c.start_net(NetServerConfig::default()).unwrap();
+        let transports: [Arc<dyn Transport>; 2] = [
+            Arc::new(InProcessTransport::new(Arc::clone(c.service()))),
+            Arc::new(TcpTransport::for_server(&net)),
+        ];
+        transports.map(|transport| {
+            let config = ClientConfig {
+                retry: RetryPolicy::new(1),
+                ..ClientConfig::default()
+            };
+            c.client_with(transport, config)
+        })
     }
 
     /// Expire any member that stopped heartbeating: one TTL of ticks
@@ -280,16 +300,18 @@ mod automated_failover {
                 let c = Arc::clone(&c);
                 let completed = Arc::clone(&completed);
                 std::thread::spawn(move || {
+                    let client = c.client();
                     for j in 0..KEYS_PER_WRITER {
                         let g = w * KEYS_PER_WRITER + j;
-                        // Acked or bust: client_put rides the gap with
+                        // Acked or bust: the client rides the gap with
                         // retries; a hard failure fails the test.
-                        c.client_put(
-                            0,
-                            encode_key(g * stride),
-                            Value::from(format!("w{w}-{j}").into_bytes()),
-                        )
-                        .unwrap();
+                        client
+                            .put(
+                                0,
+                                encode_key(g * stride),
+                                Value::from(format!("w{w}-{j}").into_bytes()),
+                            )
+                            .unwrap();
                     }
                     completed.fetch_add(1, Ordering::Relaxed);
                 })
@@ -326,13 +348,14 @@ mod automated_failover {
         // Zero acked-write loss, zero stale reads: every key reads back
         // exactly the unique value its writer acked.
         let routes = c.routes();
+        let client = c.client();
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for w in 0..WRITERS {
             for j in 0..KEYS_PER_WRITER {
                 let g = w * KEYS_PER_WRITER + j;
                 let key = encode_key(g * stride);
-                let got = c
-                    .client_get(0, &key)
+                let got = client
+                    .get(0, &key)
                     .unwrap()
                     .unwrap_or_else(|| panic!("acked write {g} lost in failover"));
                 assert_eq!(
@@ -380,26 +403,48 @@ mod automated_failover {
         let domain = c.config().key_domain;
         // A key in the last third: owned by member 2.
         let key = encode_key(domain / 6 * 5);
-        c.client_put(0, key.clone(), Value::from_static(b"safe"))
+        c.client()
+            .put(0, key.clone(), Value::from_static(b"safe"))
             .unwrap();
+        let clients = single_shot_clients(&c);
+        for client in &clients {
+            // Warm the route cache: the gap must show through it.
+            assert!(client.get(0, &key).unwrap().is_some());
+        }
         c.kill_server(2);
         assert_eq!(expire_lapsed(&c), 1);
         // Ownership gap is open: the failover is queued but not run.
         assert_eq!(c.pending_failovers(), 1);
-        let err = c.try_get(0, &key).unwrap_err();
-        assert!(
-            matches!(err, Error::Unavailable(_)),
-            "gap reads must fail Unavailable, got {err}"
-        );
-        assert!(err.is_retriable());
-        // Other members keep serving.
-        assert!(c.try_get(0, &encode_key(0)).unwrap().is_none());
-        // After the takeover the same read succeeds with the right data.
+        for client in &clients {
+            let transport = client.transport_name();
+            let err = client.get(0, &key).unwrap_err();
+            assert!(
+                matches!(err, Error::Unavailable(_)),
+                "{transport}: gap reads must fail Unavailable, got {err}"
+            );
+            assert!(err.is_retriable());
+            let err = client
+                .put(0, key.clone(), Value::from_static(b"lost"))
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::Unavailable(_)),
+                "{transport}: gap writes must fail Unavailable, got {err}"
+            );
+            // Other members keep serving.
+            assert!(client.get(0, &encode_key(0)).unwrap().is_none());
+        }
+        // After the takeover the stale route costs each single-attempt
+        // client one retriable miss, then the same read succeeds with
+        // the right data.
         c.run_failover().unwrap();
-        assert_eq!(
-            c.try_get(0, &key).unwrap(),
-            Some(Value::from_static(b"safe"))
-        );
+        for client in &clients {
+            let err = client.get(0, &key).unwrap_err();
+            assert!(err.is_retriable(), "stale route must be retriable: {err}");
+            assert_eq!(
+                client.get(0, &key).unwrap(),
+                Some(Value::from_static(b"safe"))
+            );
+        }
     }
 
     #[test]
@@ -407,7 +452,8 @@ mod automated_failover {
         let c = cluster(3);
         let domain = c.config().key_domain;
         let key = encode_key(domain / 2); // member 1's range
-        c.client_put(0, key.clone(), Value::from_static(b"v1"))
+        c.client()
+            .put(0, key.clone(), Value::from_static(b"v1"))
             .unwrap();
         let old_session = c.session_of(1).unwrap();
         let old_epoch = c.registry().epoch_of(old_session).unwrap();
@@ -450,7 +496,7 @@ mod automated_failover {
         ));
         // The data moved to a survivor and never saw the stale write.
         assert_eq!(
-            c.client_get(0, &key).unwrap(),
+            c.client().get(0, &key).unwrap(),
             Some(Value::from_static(b"v1"))
         );
     }
@@ -463,7 +509,8 @@ mod automated_failover {
             .map(|i| encode_key(i * (domain / 120)))
             .collect();
         for (i, key) in keys.iter().enumerate() {
-            c.client_put(0, key.clone(), Value::from(format!("v{i}").into_bytes()))
+            c.client()
+                .put(0, key.clone(), Value::from(format!("v{i}").into_bytes()))
                 .unwrap();
         }
         // First failure adopts srv-0's tablet into a survivor...
@@ -487,19 +534,20 @@ mod automated_failover {
 
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(
-                c.client_get(0, key).unwrap(),
+                c.client().get(0, key).unwrap(),
                 Some(Value::from(format!("v{i}").into_bytes())),
                 "key {i} lost across back-to-back failovers"
             );
         }
         // The two survivors still accept writes for the whole domain.
         for i in 0..8u64 {
-            c.client_put(
-                0,
-                encode_key(i * (domain / 8) + 17),
-                Value::from_static(b"w"),
-            )
-            .unwrap();
+            c.client()
+                .put(
+                    0,
+                    encode_key(i * (domain / 8) + 17),
+                    Value::from_static(b"w"),
+                )
+                .unwrap();
         }
         assert_eq!(c.metrics().snapshot().lease_expirations, 2);
     }
@@ -509,7 +557,8 @@ mod automated_failover {
         let c = cluster(3);
         let domain = c.config().key_domain;
         let key = encode_key(domain / 2);
-        c.client_put(0, key.clone(), Value::from_static(b"v"))
+        c.client()
+            .put(0, key.clone(), Value::from_static(b"v"))
             .unwrap();
         // Both master candidates go silent, then a server dies.
         c.pause_master(0);
@@ -520,17 +569,19 @@ mod automated_failover {
         // Headless: the takeover stays queued, the gap stays open.
         assert!(c.run_failover().unwrap().is_empty());
         assert_eq!(c.pending_failovers(), 1);
-        assert!(matches!(
-            c.try_get(0, &key).unwrap_err(),
-            Error::Unavailable(_)
-        ));
+        for client in &single_shot_clients(&c) {
+            assert!(matches!(
+                client.get(0, &key).unwrap_err(),
+                Error::Unavailable(_)
+            ));
+        }
         // A master candidate comes back and drains the queue.
         c.resume_master(1);
         assert_eq!(c.registry().active_master().unwrap().1, "master-1");
         let reports = c.run_failover().unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(
-            c.client_get(0, &key).unwrap(),
+            c.client().get(0, &key).unwrap(),
             Some(Value::from_static(b"v"))
         );
     }
@@ -540,26 +591,29 @@ mod automated_failover {
         let mut c = cluster(3);
         let domain = c.config().key_domain;
         let key = encode_key(domain / 2);
-        c.client_put(0, key.clone(), Value::from_static(b"v"))
+        c.client()
+            .put(0, key.clone(), Value::from_static(b"v"))
             .unwrap();
         c.enable_wallclock_failover(Duration::from_millis(2));
         c.kill_server(1);
         // No manual heartbeat/tick/run_failover calls: the background
         // driver must notice the lapsed lease and reassign.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            match c.try_get(0, &key) {
-                Ok(v) => {
-                    assert_eq!(v, Some(Value::from_static(b"v")));
-                    break;
+        for probe in &single_shot_clients(&c) {
+            loop {
+                match probe.get(0, &key) {
+                    Ok(v) => {
+                        assert_eq!(v, Some(Value::from_static(b"v")));
+                        break;
+                    }
+                    Err(e) => assert!(e.is_retriable(), "unexpected hard error: {e}"),
                 }
-                Err(e) => assert!(e.is_retriable(), "unexpected hard error: {e}"),
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "wall-clock failover never completed"
+                );
+                std::thread::sleep(Duration::from_millis(2));
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "wall-clock failover never completed"
-            );
-            std::thread::sleep(Duration::from_millis(2));
         }
         assert!(c.routes().iter().all(|r| r.member != 1));
     }
