@@ -2,12 +2,15 @@
 
 use crate::config::StorageBackend;
 use crate::fault::{FaultAction, FaultInjector, OpClass};
+use crc32fast::Hasher;
 use logbase_common::{Error, Result};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::io::Write;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,66 +26,232 @@ pub type BlockId = u64;
 /// [`Error::ChecksumMismatch`] instead of silently corrupt data.
 pub const SUB_BLOCK: usize = 512;
 
-struct MemBlock {
-    data: Vec<u8>,
-    sums: Vec<u32>,
+fn block_path(dir: &Path, block: BlockId) -> PathBuf {
+    dir.join(format!("blk_{block}"))
 }
 
-struct DiskState {
-    /// Open append handles, one per block, created lazily.
-    files: HashMap<BlockId, File>,
-    /// Sub-block checksums, cached from the `.crc` sidecars.
-    sums: HashMap<BlockId, Vec<u32>>,
+fn sidecar_path(dir: &Path, block: BlockId) -> PathBuf {
+    dir.join(format!("blk_{block}.crc"))
 }
 
-enum BlockStore {
-    Memory(RwLock<HashMap<BlockId, Mutex<MemBlock>>>),
+/// Where a replica's bytes live.
+enum Store {
+    Memory(Vec<u8>),
+    /// The block file (opened `O_APPEND`) and its `.crc` sidecar, both
+    /// held open for as long as the node keeps the block's state.
     Disk {
-        dir: PathBuf,
-        state: Mutex<DiskState>,
+        data: File,
+        sidecar: File,
     },
 }
 
-/// Recompute `sums` to cover `data`, assuming everything strictly before
-/// `from_byte`'s sub-block is unchanged. Returns the index of the first
-/// rewritten checksum (for partial sidecar writes).
-fn recompute_sums(data: &[u8], sums: &mut Vec<u32>, from_byte: usize) -> usize {
-    let first = from_byte / SUB_BLOCK;
-    sums.truncate(first);
-    for chunk in data[first * SUB_BLOCK..].chunks(SUB_BLOCK) {
-        sums.push(crc32fast::hash(chunk));
-    }
-    first
+/// One replica: its bytes and the checksums that describe them.
+///
+/// `sums` always holds exactly one CRC per sub-block of `len` bytes, the
+/// last one covering the partial tail when `len` is not a multiple of
+/// [`SUB_BLOCK`]. Every sum is computed from the bytes the writer handed
+/// over, never from bytes read back: a CRC's register *is* its checksum,
+/// so the partial tail's sum is also where hashing resumes when the next
+/// append arrives ([`Hasher::new_with_initial`]), and a byte that rots in
+/// the tail stays detectable however many appends follow. The one
+/// exception is [`Block::truncate`] into the middle of a sub-block, which
+/// has no way to know the CRC of the kept prefix but to hash it.
+struct Block {
+    /// `dn-<node> blk_<id>`, for error messages.
+    name: String,
+    len: u64,
+    /// Little-endian, i.e. already in the sidecar's format, so persisting
+    /// a run of them is a borrow, not a copy.
+    sums: Vec<[u8; 4]>,
+    store: Store,
 }
 
-/// Verify the sub-blocks of `data` covering `[offset, offset + len)`
-/// against `sums` (where `sums[i]` covers `data[i*SUB_BLOCK..]`), then
-/// copy the requested range out.
-fn verified_copy(
-    context: &str,
-    data: &[u8],
-    sums: &[u32],
-    offset: usize,
-    len: usize,
-) -> Result<Vec<u8>> {
-    let first = offset / SUB_BLOCK;
-    let last = (offset + len).div_ceil(SUB_BLOCK);
-    for i in first..last {
-        let start = i * SUB_BLOCK;
-        let end = ((i + 1) * SUB_BLOCK).min(data.len());
-        let expected = *sums.get(i).ok_or_else(|| {
-            Error::Corruption(format!("{context}: missing checksum for sub-block {i}"))
-        })?;
-        let actual = crc32fast::hash(&data[start..end]);
-        if actual != expected {
-            return Err(Error::ChecksumMismatch {
-                context: format!("{context} sub-block {i}"),
-                expected,
-                actual,
-            });
+impl Block {
+    fn in_memory(name: String) -> Block {
+        Block {
+            name,
+            len: 0,
+            sums: Vec::new(),
+            store: Store::Memory(Vec::new()),
         }
     }
-    Ok(data[offset..offset + len].to_vec())
+
+    /// Open the replica of `block` under `dir`, creating it empty when it
+    /// is absent and `create` is set (`None` when absent and not). What is
+    /// found is trusted as far as it is self-consistent: the block file's
+    /// length, and a sidecar holding exactly one sum per sub-block of
+    /// that length. The data is not re-read — reads verify it.
+    fn open(dir: &Path, block: BlockId, create: bool, name: String) -> Result<Option<Block>> {
+        let data = match OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(create)
+            .open(block_path(dir, block))
+        {
+            Ok(f) => f,
+            Err(e) if !create && e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let len = data.metadata()?.len();
+        let sidecar = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(sidecar_path(dir, block))?;
+        let stored = sidecar.metadata()?.len();
+        let expected = len.div_ceil(SUB_BLOCK as u64) * 4;
+        if stored != expected {
+            return Err(Error::Corruption(format!(
+                "{name}: sidecar holds {stored} bytes of checksums, a {len}-byte block has {expected}"
+            )));
+        }
+        let mut raw = vec![0u8; expected as usize];
+        sidecar.read_exact_at(&mut raw, 0)?;
+        let sums = raw
+            .chunks_exact(4)
+            .map(|c| [c[0], c[1], c[2], c[3]])
+            .collect();
+        Ok(Some(Block {
+            name,
+            len,
+            sums,
+            store: Store::Disk { data, sidecar },
+        }))
+    }
+
+    /// Write `sums[first..]` at their place in the sidecar.
+    fn persist_sums(&self, first: usize) -> Result<()> {
+        if let Store::Disk { sidecar, .. } = &self.store {
+            sidecar.write_all_at(self.sums[first..].as_flattened(), first as u64 * 4)?;
+        }
+        Ok(())
+    }
+
+    /// Append `bytes`; returns the replica length afterwards. On disk
+    /// that is one `write` of the data and one positional write of the
+    /// sums it changed; nothing is read back.
+    fn append(&mut self, bytes: &[u8]) -> Result<u64> {
+        match &mut self.store {
+            Store::Memory(data) => data.extend_from_slice(bytes),
+            Store::Disk { data, .. } => {
+                if let Err(e) = data.write_all(bytes) {
+                    // Keep the file at the length the sums describe.
+                    let _ = data.set_len(self.len);
+                    return Err(e.into());
+                }
+            }
+        }
+        let mut filled = (self.len % SUB_BLOCK as u64) as usize;
+        let mut tail = match filled {
+            0 => Hasher::new(),
+            _ => Hasher::new_with_initial(u32::from_le_bytes(
+                self.sums.pop().expect("a partial sub-block has a sum"),
+            )),
+        };
+        let first = self.sums.len();
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (piece, after) = rest.split_at(rest.len().min(SUB_BLOCK - filled));
+            tail.update(piece);
+            filled += piece.len();
+            if filled == SUB_BLOCK {
+                self.sums
+                    .push(std::mem::take(&mut tail).finalize().to_le_bytes());
+                filled = 0;
+            }
+            rest = after;
+        }
+        if filled != 0 {
+            self.sums.push(tail.finalize().to_le_bytes());
+        }
+        self.len += bytes.len() as u64;
+        self.persist_sums(first)?;
+        Ok(self.len)
+    }
+
+    /// Read `len` bytes at `offset`: the whole sub-blocks covering the
+    /// range (one positional read on disk), verified against `sums`.
+    fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let end = offset
+            .checked_add(len as u64)
+            .filter(|e| *e <= self.len)
+            .ok_or_else(|| Error::OutOfBounds {
+                file: self.name.clone(),
+                offset,
+                len: len as u64,
+                size: self.len,
+            })?;
+        let first = offset as usize / SUB_BLOCK;
+        let start = first * SUB_BLOCK;
+        let stop = (end.div_ceil(SUB_BLOCK as u64) * SUB_BLOCK as u64).min(self.len) as usize;
+        let skip = offset as usize - start;
+        match &self.store {
+            Store::Memory(data) => {
+                self.verify(first, &data[start..stop])?;
+                Ok(data[offset as usize..end as usize].to_vec())
+            }
+            Store::Disk { data, .. } => {
+                let mut raw = vec![0u8; stop - start];
+                data.read_exact_at(&mut raw, start as u64)?;
+                self.verify(first, &raw)?;
+                raw.truncate(skip + len);
+                raw.drain(..skip);
+                Ok(raw)
+            }
+        }
+    }
+
+    /// Check `data`, which starts at sub-block `first`, against `sums`.
+    fn verify(&self, first: usize, data: &[u8]) -> Result<()> {
+        for (i, chunk) in (first..).zip(data.chunks(SUB_BLOCK)) {
+            let expected = self.sums.get(i).copied().map(u32::from_le_bytes);
+            let expected = expected.ok_or_else(|| {
+                Error::Corruption(format!("{}: missing checksum for sub-block {i}", self.name))
+            })?;
+            let actual = crc32fast::hash(chunk);
+            if actual != expected {
+                return Err(Error::ChecksumMismatch {
+                    context: format!("{} sub-block {i}", self.name),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Shrink to `len` bytes (no-op at or below it already).
+    fn truncate(&mut self, len: u64) -> Result<()> {
+        if self.len <= len {
+            return Ok(());
+        }
+        let first = len as usize / SUB_BLOCK;
+        // The prefix kept of a sub-block cut in two: its CRC cannot be
+        // had from the CRC of the longer run, only from the bytes.
+        let mut kept = [0u8; SUB_BLOCK];
+        let kept = &mut kept[..len as usize % SUB_BLOCK];
+        match &mut self.store {
+            Store::Memory(data) => {
+                data.truncate(len as usize);
+                kept.copy_from_slice(&data[first * SUB_BLOCK..]);
+            }
+            Store::Disk { data, .. } => {
+                data.read_exact_at(kept, (first * SUB_BLOCK) as u64)?;
+                data.set_len(len)?;
+            }
+        }
+        self.len = len;
+        self.sums.truncate(first);
+        if !kept.is_empty() {
+            self.sums.push(crc32fast::hash(kept).to_le_bytes());
+        }
+        self.persist_sums(first)?;
+        if let Store::Disk { sidecar, .. } = &self.store {
+            sidecar.set_len(self.sums.len() as u64 * 4)?;
+        }
+        Ok(())
+    }
 }
 
 /// One simulated data node.
@@ -99,7 +268,14 @@ pub struct DataNode {
     alive: AtomicBool,
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
-    store: BlockStore,
+    /// Disk-backed: the directory the block files live in. `None`: the
+    /// blocks live in `blocks` and nowhere else.
+    dir: Option<PathBuf>,
+    /// Per-block state. For a disk-backed node this holds the blocks
+    /// touched since the last restart (their lengths, sums and two open
+    /// fds each); the files are the truth and the rest are opened on
+    /// first use.
+    blocks: Mutex<HashMap<BlockId, Block>>,
     faults: Arc<FaultInjector>,
 }
 
@@ -112,18 +288,12 @@ impl DataNode {
         backend: &StorageBackend,
         faults: Arc<FaultInjector>,
     ) -> Result<Self> {
-        let store = match backend {
-            StorageBackend::Memory => BlockStore::Memory(RwLock::new(HashMap::new())),
+        let dir = match backend {
+            StorageBackend::Memory => None,
             StorageBackend::Disk(root) => {
                 let dir = root.join(format!("dn-{id}"));
                 std::fs::create_dir_all(&dir)?;
-                BlockStore::Disk {
-                    dir,
-                    state: Mutex::new(DiskState {
-                        files: HashMap::new(),
-                        sums: HashMap::new(),
-                    }),
-                }
+                Some(dir)
             }
         };
         Ok(DataNode {
@@ -132,7 +302,8 @@ impl DataNode {
             alive: AtomicBool::new(true),
             bytes_written: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
-            store,
+            dir,
+            blocks: Mutex::new(HashMap::new()),
             faults,
         })
     }
@@ -158,16 +329,10 @@ impl DataNode {
     }
 
     /// Restart the node. Memory-backed nodes come back empty (their RAM
-    /// is gone); disk-backed nodes keep their blocks.
+    /// is gone); disk-backed nodes keep their blocks and reopen them on
+    /// first use.
     pub fn restart(&self) {
-        if let BlockStore::Memory(blocks) = &self.store {
-            blocks.write().clear();
-        }
-        if let BlockStore::Disk { state, .. } = &self.store {
-            let mut state = state.lock();
-            state.files.clear();
-            state.sums.clear();
-        }
+        self.blocks.lock().clear();
         self.alive.store(true, Ordering::Release);
     }
 
@@ -193,37 +358,25 @@ impl DataNode {
         decision.action
     }
 
-    fn sidecar(dir: &std::path::Path, block: BlockId) -> PathBuf {
-        dir.join(format!("blk_{block}.crc"))
-    }
-
-    fn load_sums(dir: &std::path::Path, block: BlockId) -> Result<Vec<u32>> {
-        match std::fs::read(Self::sidecar(dir, block)) {
-            Ok(raw) => Ok(raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(e.into()),
+    /// The state of `block` within `blocks` (the locked map), first
+    /// opening it from disk — or, with `create`, starting it empty — when
+    /// it is not there. `None`: this node holds no such replica.
+    fn block<'a>(
+        &self,
+        blocks: &'a mut HashMap<BlockId, Block>,
+        block: BlockId,
+        create: bool,
+    ) -> Result<Option<&'a mut Block>> {
+        match blocks.entry(block) {
+            Entry::Occupied(e) => Ok(Some(e.into_mut())),
+            Entry::Vacant(slot) => {
+                let opened = match &self.dir {
+                    Some(dir) => Block::open(dir, block, create, self.context(block))?,
+                    None => create.then(|| Block::in_memory(self.context(block))),
+                };
+                Ok(opened.map(|b| slot.insert(b)))
+            }
         }
-    }
-
-    /// Persist `sums[from..]` into the sidecar, truncating it to the
-    /// current checksum count.
-    fn store_sums(dir: &std::path::Path, block: BlockId, sums: &[u32], from: usize) -> Result<()> {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(Self::sidecar(dir, block))?;
-        f.set_len((sums.len() * 4) as u64)?;
-        f.seek(SeekFrom::Start((from * 4) as u64))?;
-        let mut buf = Vec::with_capacity((sums.len() - from) * 4);
-        for s in &sums[from..] {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        f.write_all(&buf)?;
-        Ok(())
     }
 
     /// Append `data` to the replica of `block`, creating it if absent.
@@ -258,69 +411,14 @@ impl DataNode {
     }
 
     fn append_raw(&self, block: BlockId, data: &[u8]) -> Result<u64> {
+        let mut blocks = self.blocks.lock();
+        let b = self
+            .block(&mut blocks, block, true)?
+            .ok_or_else(|| Error::FileNotFound(self.context(block)))?;
+        let len = b.append(data)?;
         self.bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        match &self.store {
-            BlockStore::Memory(blocks) => {
-                let extend = |b: &Mutex<MemBlock>| {
-                    let mut b = b.lock();
-                    let from = b.data.len();
-                    b.data.extend_from_slice(data);
-                    let MemBlock { data: buf, sums } = &mut *b;
-                    recompute_sums(buf, sums, from);
-                    buf.len() as u64
-                };
-                {
-                    let guard = blocks.read();
-                    if let Some(b) = guard.get(&block) {
-                        return Ok(extend(b));
-                    }
-                }
-                let mut guard = blocks.write();
-                let b = guard.entry(block).or_insert_with(|| {
-                    Mutex::new(MemBlock {
-                        data: Vec::new(),
-                        sums: Vec::new(),
-                    })
-                });
-                Ok(extend(b))
-            }
-            BlockStore::Disk { dir, state } => {
-                let mut state = state.lock();
-                if let std::collections::hash_map::Entry::Vacant(e) = state.sums.entry(block) {
-                    e.insert(Self::load_sums(dir, block)?);
-                }
-                let file = match state.files.entry(block) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let path = dir.join(format!("blk_{block}"));
-                        let f = OpenOptions::new()
-                            .create(true)
-                            .append(true)
-                            .read(true)
-                            .open(path)?;
-                        e.insert(f)
-                    }
-                };
-                let from = file.seek(SeekFrom::End(0))? as usize;
-                file.write_all(data)?;
-                let new_len = file.seek(SeekFrom::End(0))?;
-                // Rehash the affected tail: the last pre-append sub-block
-                // (if partial) plus everything new.
-                let first = from / SUB_BLOCK;
-                let tail_start = (first * SUB_BLOCK) as u64;
-                file.seek(SeekFrom::Start(tail_start))?;
-                let mut tail = vec![0u8; (new_len - tail_start) as usize];
-                file.read_exact(&mut tail)?;
-                let sums = state.sums.get_mut(&block).expect("sums loaded above");
-                sums.truncate(first);
-                for chunk in tail.chunks(SUB_BLOCK) {
-                    sums.push(crc32fast::hash(chunk));
-                }
-                Self::store_sums(dir, block, sums, first)?;
-                Ok(new_len)
-            }
-        }
+        Ok(len)
     }
 
     /// Read `len` bytes at `offset` within the replica of `block`,
@@ -341,71 +439,10 @@ impl DataNode {
             }
         }
         self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        match &self.store {
-            BlockStore::Memory(blocks) => {
-                let guard = blocks.read();
-                let b = guard
-                    .get(&block)
-                    .ok_or_else(|| Error::FileNotFound(self.context(block)))?;
-                let b = b.lock();
-                offset
-                    .checked_add(len as u64)
-                    .filter(|e| *e <= b.data.len() as u64)
-                    .ok_or_else(|| Error::OutOfBounds {
-                        file: self.context(block),
-                        offset,
-                        len: len as u64,
-                        size: b.data.len() as u64,
-                    })?;
-                verified_copy(&self.context(block), &b.data, &b.sums, offset as usize, len)
-            }
-            BlockStore::Disk { dir, state } => {
-                let mut state = state.lock();
-                if let std::collections::hash_map::Entry::Vacant(e) = state.sums.entry(block) {
-                    e.insert(Self::load_sums(dir, block)?);
-                }
-                let file = match state.files.entry(block) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let path = dir.join(format!("blk_{block}"));
-                        if !path.exists() {
-                            return Err(Error::FileNotFound(format!("dn-{} blk_{block}", self.id)));
-                        }
-                        let f = OpenOptions::new().append(true).read(true).open(path)?;
-                        e.insert(f)
-                    }
-                };
-                let size = file.seek(SeekFrom::End(0))?;
-                if offset + len as u64 > size {
-                    return Err(Error::OutOfBounds {
-                        file: self.context(block),
-                        offset,
-                        len: len as u64,
-                        size,
-                    });
-                }
-                // Read whole covering sub-blocks so their checksums can
-                // be verified, then slice out the requested range.
-                let aligned_start = (offset as usize / SUB_BLOCK) * SUB_BLOCK;
-                let aligned_end =
-                    ((offset as usize + len).div_ceil(SUB_BLOCK) * SUB_BLOCK).min(size as usize);
-                file.seek(SeekFrom::Start(aligned_start as u64))?;
-                let mut raw = vec![0u8; aligned_end - aligned_start];
-                file.read_exact(&mut raw)?;
-                let sums = state.sums.get(&block).expect("sums loaded above");
-                let first = aligned_start / SUB_BLOCK;
-                // `raw` starts at global sub-block `first`; shift the sums
-                // so index 0 of the slice covers index 0 of `raw`.
-                let shifted: Vec<u32> = sums.get(first..).map(<[u32]>::to_vec).unwrap_or_default();
-                verified_copy(
-                    &self.context(block),
-                    &raw,
-                    &shifted,
-                    offset as usize - aligned_start,
-                    len,
-                )
-            }
-        }
+        let mut blocks = self.blocks.lock();
+        self.block(&mut blocks, block, false)?
+            .ok_or_else(|| Error::FileNotFound(self.context(block)))?
+            .read(offset, len)
     }
 
     /// Flip one bit of the stored replica (fault injection). The target
@@ -413,30 +450,35 @@ impl DataNode {
     /// alone. Checksums are deliberately *not* updated — the next read
     /// covering the byte fails with [`Error::ChecksumMismatch`].
     fn flip_bit(&self, block: BlockId, byte_seed: u64, bit: u8) -> Result<()> {
-        match &self.store {
-            BlockStore::Memory(blocks) => {
-                let guard = blocks.read();
-                if let Some(b) = guard.get(&block) {
-                    let mut b = b.lock();
-                    if !b.data.is_empty() {
-                        let at = (byte_seed % b.data.len() as u64) as usize;
-                        b.data[at] ^= 1 << (bit % 8);
+        let mut blocks = self.blocks.lock();
+        match &self.dir {
+            None => {
+                if let Some(Block {
+                    store: Store::Memory(data),
+                    ..
+                }) = blocks.get_mut(&block)
+                {
+                    if !data.is_empty() {
+                        let at = (byte_seed % data.len() as u64) as usize;
+                        data[at] ^= 1 << (bit % 8);
                     }
                 }
             }
-            BlockStore::Disk { dir, state } => {
-                let _state = state.lock();
-                let path = dir.join(format!("blk_{block}"));
-                if let Ok(mut f) = OpenOptions::new().read(true).write(true).open(path) {
-                    let size = f.seek(SeekFrom::End(0))?;
+            // Through a handle of its own: the block's is `O_APPEND`, and
+            // the damage is meant to happen behind the node's back.
+            Some(dir) => {
+                if let Ok(f) = OpenOptions::new()
+                    .read(true)
+                    .write(true)
+                    .open(block_path(dir, block))
+                {
+                    let size = f.metadata()?.len();
                     if size > 0 {
                         let at = byte_seed % size;
                         let mut byte = [0u8];
-                        f.seek(SeekFrom::Start(at))?;
-                        f.read_exact(&mut byte)?;
+                        f.read_exact_at(&mut byte, at)?;
                         byte[0] ^= 1 << (bit % 8);
-                        f.seek(SeekFrom::Start(at))?;
-                        f.write_all(&byte)?;
+                        f.write_all_at(&byte, at)?;
                     }
                 }
             }
@@ -450,68 +492,26 @@ impl DataNode {
     /// write.
     pub fn truncate_block(&self, block: BlockId, len: u64) -> Result<()> {
         self.check_alive()?;
-        match &self.store {
-            BlockStore::Memory(blocks) => {
-                let guard = blocks.read();
-                if let Some(b) = guard.get(&block) {
-                    let mut b = b.lock();
-                    if (b.data.len() as u64) > len {
-                        b.data.truncate(len as usize);
-                        let MemBlock { data: buf, sums } = &mut *b;
-                        recompute_sums(buf, sums, len as usize);
-                    }
-                }
-                Ok(())
-            }
-            BlockStore::Disk { dir, state } => {
-                let mut state = state.lock();
-                let path = dir.join(format!("blk_{block}"));
-                if !path.exists() {
-                    return Ok(());
-                }
-                let size = path.metadata()?.len();
-                if size <= len {
-                    return Ok(());
-                }
-                if let Some(f) = state.files.get_mut(&block) {
-                    f.set_len(len)?;
-                } else {
-                    OpenOptions::new().write(true).open(&path)?.set_len(len)?;
-                }
-                // Rehash the now-partial final sub-block.
-                let mut sums = Self::load_sums(dir, block)?;
-                let first = (len as usize) / SUB_BLOCK;
-                sums.truncate(first);
-                if len as usize % SUB_BLOCK != 0 {
-                    let mut f = OpenOptions::new().read(true).open(&path)?;
-                    f.seek(SeekFrom::Start((first * SUB_BLOCK) as u64))?;
-                    let mut tail = vec![0u8; len as usize - first * SUB_BLOCK];
-                    f.read_exact(&mut tail)?;
-                    sums.push(crc32fast::hash(&tail));
-                }
-                Self::store_sums(dir, block, &sums, first.min(sums.len()))?;
-                state.sums.insert(block, sums);
-                Ok(())
-            }
+        let mut blocks = self.blocks.lock();
+        match self.block(&mut blocks, block, false)? {
+            Some(b) => b.truncate(len),
+            None => Ok(()),
         }
     }
 
     /// Length of the local replica of `block` (0 if absent).
     pub fn block_len(&self, block: BlockId) -> Result<u64> {
         self.check_alive()?;
-        match &self.store {
-            BlockStore::Memory(blocks) => Ok(blocks
-                .read()
-                .get(&block)
-                .map_or(0, |b| b.lock().data.len() as u64)),
-            BlockStore::Disk { dir, state } => {
-                if let Some(f) = state.lock().files.get_mut(&block) {
-                    return Ok(f.seek(SeekFrom::End(0))?);
-                }
-                let path = dir.join(format!("blk_{block}"));
-                Ok(path.metadata().map(|m| m.len()).unwrap_or(0))
-            }
+        if let Some(b) = self.blocks.lock().get(&block) {
+            return Ok(b.len);
         }
+        // Not opened since the last restart: ask the file, without
+        // spending two fds on a block that is only being probed.
+        Ok(self
+            .dir
+            .as_ref()
+            .and_then(|dir| block_path(dir, block).metadata().ok())
+            .map_or(0, |m| m.len()))
     }
 
     /// Whether this node holds a replica of `block`.
@@ -519,37 +519,34 @@ impl DataNode {
         if !self.is_alive() {
             return false;
         }
-        match &self.store {
-            BlockStore::Memory(blocks) => blocks.read().contains_key(&block),
-            BlockStore::Disk { dir, state } => {
-                state.lock().files.contains_key(&block) || dir.join(format!("blk_{block}")).exists()
-            }
-        }
+        self.blocks.lock().contains_key(&block)
+            || self
+                .dir
+                .as_ref()
+                .is_some_and(|dir| block_path(dir, block).exists())
     }
 
     /// Block report: every block id this node holds a replica of. The
     /// name node diffs this against its chunk table to reclaim orphaned
     /// replicas after a restart.
     pub fn list_blocks(&self) -> Vec<BlockId> {
-        match &self.store {
-            BlockStore::Memory(blocks) => blocks.read().keys().copied().collect(),
-            BlockStore::Disk { dir, state } => {
-                let _state = state.lock();
-                let mut out = Vec::new();
-                if let Ok(entries) = std::fs::read_dir(dir) {
-                    for entry in entries.flatten() {
-                        let name = entry.file_name();
-                        let Some(name) = name.to_str() else { continue };
-                        if let Some(id) = name.strip_prefix("blk_") {
-                            if let Ok(id) = id.parse::<BlockId>() {
-                                out.push(id);
-                            }
-                        }
+        let blocks = self.blocks.lock();
+        let Some(dir) = &self.dir else {
+            return blocks.keys().copied().collect();
+        };
+        let mut out = Vec::new();
+        if let Ok(entries) = std::fs::read_dir(dir) {
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let Some(name) = name.to_str() else { continue };
+                if let Some(id) = name.strip_prefix("blk_") {
+                    if let Ok(id) = id.parse::<BlockId>() {
+                        out.push(id);
                     }
                 }
-                out
             }
         }
+        out
     }
 
     /// Drop the local replica of `block` (and its checksum sidecar).
@@ -566,21 +563,13 @@ impl DataNode {
                 return Err(Error::NodeDown(format!("dn-{} (injected crash)", self.id)));
             }
         }
-        match &self.store {
-            BlockStore::Memory(blocks) => {
-                blocks.write().remove(&block);
-            }
-            BlockStore::Disk { dir, state } => {
-                let mut state = state.lock();
-                state.files.remove(&block);
-                state.sums.remove(&block);
-                let path = dir.join(format!("blk_{block}"));
-                if path.exists() {
-                    std::fs::remove_file(path)?;
-                }
-                let crc = Self::sidecar(dir, block);
-                if crc.exists() {
-                    std::fs::remove_file(crc)?;
+        let mut blocks = self.blocks.lock();
+        blocks.remove(&block);
+        if let Some(dir) = &self.dir {
+            for path in [block_path(dir, block), sidecar_path(dir, block)] {
+                match std::fs::remove_file(path) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                    _ => {}
                 }
             }
         }
@@ -731,6 +720,85 @@ mod tests {
             // sub-block keep failing even with no further faults.
             assert!(n.read_block(1, 0, 2000).is_err());
         }
+    }
+
+    /// A byte that rots in the partial tail sub-block must stay
+    /// detectable after the next append: the tail's sum is continued
+    /// from what the writer sent, not recomputed from what is stored.
+    #[test]
+    fn append_does_not_bless_a_corrupt_tail_on_disk() {
+        let dir = tempfile::tempdir().unwrap();
+        let n = quiet(0, 0, &StorageBackend::Disk(dir.path().to_path_buf()));
+        n.append_block(1, &[7u8; 700]).unwrap();
+        // Damage byte 600 (sub-block 1, the partial tail) behind the
+        // node's back.
+        let file = OpenOptions::new()
+            .write(true)
+            .open(block_path(&dir.path().join("dn-0"), 1))
+            .unwrap();
+        file.write_all_at(&[8u8], 600).unwrap();
+        assert_eq!(n.append_block(1, &[9u8; 100]).unwrap(), 800);
+        let err = n.read_block(1, 0, 800).unwrap_err();
+        assert!(err.is_corruption(), "corrupt tail served: {err}");
+        // Reopening from the files changes nothing: the sidecar still
+        // carries the writer's sums.
+        n.kill();
+        n.restart();
+        n.append_block(1, &[9u8; 400]).unwrap();
+        assert!(n.read_block(1, 512, 688).unwrap_err().is_corruption());
+        // The sub-block before the damage is unaffected.
+        assert_eq!(n.read_block(1, 0, 512).unwrap(), &[7u8; 512]);
+    }
+
+    #[test]
+    fn append_does_not_bless_a_corrupt_tail_in_memory() {
+        let faults = Arc::new(FaultInjector::new(11));
+        let n = DataNode::new(0, 0, &StorageBackend::Memory, Arc::clone(&faults)).unwrap();
+        // 300 bytes: whichever byte the flip picks is in the partial tail.
+        n.append_block(1, &[7u8; 300]).unwrap();
+        faults.set_spec(
+            0,
+            OpClass::Read,
+            FaultSpec::default().with_scheduled(1, ScheduledFault::BitFlip),
+        );
+        assert!(n.read_block(1, 0, 300).unwrap_err().is_corruption());
+        assert_eq!(n.append_block(1, &[9u8; 100]).unwrap(), 400);
+        let err = n.read_block(1, 0, 400).unwrap_err();
+        assert!(err.is_corruption(), "corrupt tail served: {err}");
+    }
+
+    #[test]
+    fn failed_append_is_not_counted_as_written() {
+        let dir = tempfile::tempdir().unwrap();
+        let n = quiet(0, 0, &StorageBackend::Disk(dir.path().to_path_buf()));
+        n.append_block(1, &[1u8; 100]).unwrap();
+        // A block whose file cannot be created: the node's directory is
+        // gone.
+        std::fs::remove_dir_all(dir.path().join("dn-0")).unwrap();
+        assert!(n.append_block(2, &[2u8; 50]).is_err());
+        assert_eq!(n.bytes_written(), 100);
+    }
+
+    #[test]
+    fn reopen_rejects_a_sidecar_that_does_not_describe_the_block() {
+        let dir = tempfile::tempdir().unwrap();
+        let n = quiet(0, 0, &StorageBackend::Disk(dir.path().to_path_buf()));
+        n.append_block(1, &[5u8; 1300]).unwrap();
+        n.kill();
+        n.restart();
+        // Three sub-blocks, two sums.
+        OpenOptions::new()
+            .write(true)
+            .open(sidecar_path(&dir.path().join("dn-0"), 1))
+            .unwrap()
+            .set_len(8)
+            .unwrap();
+        assert!(n.read_block(1, 0, 10).unwrap_err().is_corruption());
+        assert!(n.append_block(1, b"x").unwrap_err().is_corruption());
+        // Quarantine still works: the replica can be dropped and rebuilt.
+        n.delete_block(1).unwrap();
+        assert_eq!(n.append_block(1, b"fresh").unwrap(), 5);
+        assert_eq!(n.read_block(1, 0, 5).unwrap(), b"fresh");
     }
 
     #[test]

@@ -456,15 +456,21 @@ impl Dfs {
             if attempt > 0 {
                 Metrics::incr(&self.inner.metrics.dfs_retries);
             }
-            // Re-stat each attempt: background repair may have moved
-            // replicas since the caller's snapshot. Fall back to the
+            // Re-stat each retry: background repair may have moved
+            // replicas since the caller's snapshot (which attempt 0 uses
+            // as is — it was taken a moment ago). Fall back to the
             // snapshot if the file was renamed or deleted under us.
-            let fresh = self
-                .inner
-                .namenode
-                .stat(name)
-                .ok()
-                .and_then(|m| m.chunks.get(chunk_index).cloned());
+            let fresh = (attempt > 0)
+                .then(|| {
+                    self.inner
+                        .namenode
+                        .stat(name)
+                        .ok()?
+                        .chunks
+                        .get(chunk_index)
+                        .cloned()
+                })
+                .flatten();
             let chunk = fresh.as_ref().unwrap_or(snapshot);
             let mut corrupt: Vec<NodeId> = Vec::new();
             let mut transient_err: Option<Error> = None;

@@ -70,3 +70,195 @@ proptest! {
         prop_assert_eq!(&dfs.read_all("f").unwrap()[..], &payload[..]);
     }
 }
+
+mod datanode_model {
+    //! One data-node block against a `Vec<u8>`, on both backends, through
+    //! appends, truncations, torn appends and restarts — and after every
+    //! step the files on disk must say what the node's memory says.
+
+    use logbase_dfs::{
+        BlockId, DataNode, FaultInjector, FaultSpec, OpClass, ScheduledFault, StorageBackend,
+        SUB_BLOCK,
+    };
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    const BLOCK: BlockId = 7;
+    const DISK: u32 = 0;
+    const MEM: u32 = 1;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Append(Vec<u8>),
+        /// An append of which only `keep` bytes land before the node
+        /// dies; the node is restarted afterwards.
+        Torn(Vec<u8>, usize),
+        /// Truncate to this length modulo (current length + 1).
+        Truncate(u16),
+        Restart,
+        Read(u16, u16),
+    }
+
+    struct Harness {
+        dir: tempfile::TempDir,
+        faults: Arc<FaultInjector>,
+        disk: DataNode,
+        mem: DataNode,
+        /// What the disk node must hold.
+        on_disk: Vec<u8>,
+        /// What the memory node must hold (a restart empties it).
+        in_mem: Vec<u8>,
+    }
+
+    impl Harness {
+        fn new() -> Harness {
+            let dir = tempfile::tempdir().unwrap();
+            let faults = Arc::new(FaultInjector::new(1));
+            let disk = StorageBackend::Disk(dir.path().to_path_buf());
+            Harness {
+                disk: DataNode::new(DISK, 0, &disk, Arc::clone(&faults)).unwrap(),
+                mem: DataNode::new(MEM, 0, &StorageBackend::Memory, Arc::clone(&faults)).unwrap(),
+                dir,
+                faults,
+                on_disk: Vec::new(),
+                in_mem: Vec::new(),
+            }
+        }
+
+        fn restart(&mut self) {
+            for node in [&self.disk, &self.mem] {
+                node.kill();
+                node.restart();
+            }
+            self.in_mem.clear();
+        }
+
+        fn step(&mut self, op: &Op) {
+            match op {
+                Op::Append(data) => {
+                    self.on_disk.extend_from_slice(data);
+                    self.in_mem.extend_from_slice(data);
+                    let len = self.disk.append_block(BLOCK, data).unwrap();
+                    assert_eq!(len, self.on_disk.len() as u64);
+                    let len = self.mem.append_block(BLOCK, data).unwrap();
+                    assert_eq!(len, self.in_mem.len() as u64);
+                }
+                Op::Torn(data, keep) => {
+                    let torn = ScheduledFault::TornAppend { keep: *keep };
+                    for node in [&self.disk, &self.mem] {
+                        let spec = FaultSpec::default().with_scheduled(1, torn.clone());
+                        self.faults.set_spec(node.id(), OpClass::Append, spec);
+                        assert!(node.append_block(BLOCK, data).is_err());
+                        assert!(!node.is_alive());
+                    }
+                    self.faults.clear();
+                    self.on_disk
+                        .extend_from_slice(&data[..(*keep).min(data.len())]);
+                    self.restart();
+                }
+                Op::Truncate(to) => {
+                    let to = *to as usize % (self.on_disk.len() + 1);
+                    self.disk.truncate_block(BLOCK, to as u64).unwrap();
+                    self.on_disk.truncate(to);
+                    let to = to % (self.in_mem.len() + 1);
+                    self.mem.truncate_block(BLOCK, to as u64).unwrap();
+                    self.in_mem.truncate(to);
+                }
+                Op::Restart => self.restart(),
+                Op::Read(off, len) => {
+                    for (node, model) in [(&self.disk, &self.on_disk), (&self.mem, &self.in_mem)] {
+                        if !node.has_block(BLOCK) {
+                            continue;
+                        }
+                        let off = *off as usize % (model.len() + 1);
+                        let len = (*len as usize).min(model.len() - off);
+                        let got = node.read_block(BLOCK, off as u64, len).unwrap();
+                        assert_eq!(got, &model[off..off + len], "read {off}+{len}");
+                    }
+                }
+            }
+            self.check();
+        }
+
+        /// Lengths and contents agree with the models, and the sidecar on
+        /// disk is exactly the checksums of the block file on disk.
+        fn check(&self) {
+            for (node, model) in [(&self.disk, &self.on_disk), (&self.mem, &self.in_mem)] {
+                assert_eq!(node.block_len(BLOCK).unwrap(), model.len() as u64);
+                if node.has_block(BLOCK) {
+                    assert_eq!(&node.read_block(BLOCK, 0, model.len()).unwrap(), model);
+                }
+            }
+            let dir = self.dir.path().join(format!("dn-{DISK}"));
+            let file = std::fs::read(dir.join(format!("blk_{BLOCK}"))).unwrap_or_default();
+            let sidecar = std::fs::read(dir.join(format!("blk_{BLOCK}.crc"))).unwrap_or_default();
+            assert_eq!(file, self.on_disk);
+            let recomputed: Vec<u8> = file
+                .chunks(SUB_BLOCK)
+                .flat_map(|c| crc32fast::hash(c).to_le_bytes())
+                .collect();
+            assert_eq!(
+                sidecar,
+                recomputed,
+                ".crc differs from the sums of the {}-byte block file",
+                file.len()
+            );
+        }
+    }
+
+    /// The sequences the random walk must not be trusted to find.
+    #[test]
+    fn named_cases() {
+        let mut h = Harness::new();
+        let bytes = |n: usize, b: u8| vec![b; n];
+        // Restart in the middle of a sub-block, then keep appending.
+        h.step(&Op::Append(bytes(700, 1)));
+        h.step(&Op::Restart);
+        h.step(&Op::Append(bytes(100, 2)));
+        h.step(&Op::Append(bytes(1500, 3)));
+        // Truncate to an unaligned length, then append across the cut.
+        h.step(&Op::Truncate(1301));
+        h.step(&Op::Append(bytes(3, 4)));
+        h.step(&Op::Append(bytes(900, 5)));
+        // Truncate to an aligned length and to nothing.
+        h.step(&Op::Truncate(1024));
+        h.step(&Op::Append(bytes(1, 6)));
+        h.step(&Op::Truncate(0));
+        h.step(&Op::Append(bytes(513, 7)));
+        // Torn append (the prefix ends mid-sub-block), restart, append.
+        h.step(&Op::Torn(bytes(2000, 8), 777));
+        h.step(&Op::Read(500, 900));
+        h.step(&Op::Append(bytes(1085, 9)));
+        // A torn append that kept nothing, and one on a fresh block.
+        h.step(&Op::Torn(bytes(10, 10), 0));
+        h.step(&Op::Truncate(0));
+        h.step(&Op::Torn(bytes(600, 11), 600));
+        h.step(&Op::Append(bytes(512, 12)));
+        h.step(&Op::Read(0, u16::MAX));
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let data = || proptest::collection::vec(any::<u8>(), 1..3000);
+        prop_oneof![
+            6 => data().prop_map(Op::Append),
+            1 => (data(), 0usize..3000).prop_map(|(d, keep)| Op::Torn(d, keep)),
+            2 => any::<u16>().prop_map(Op::Truncate),
+            1 => Just(Op::Restart),
+            3 => (any::<u16>(), any::<u16>()).prop_map(|(o, l)| Op::Read(o, l)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48 })]
+
+        #[test]
+        fn prop_block_is_a_byte_vector_with_an_honest_sidecar(
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            let mut h = Harness::new();
+            for op in &ops {
+                h.step(op);
+            }
+        }
+    }
+}

@@ -103,7 +103,7 @@ impl SegmentScanner {
         }
         let payload = self.reader.read_exact(len)?;
         let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        let actual = crc32fast_hash(&payload);
+        let actual = crc32fast::hash(&payload);
         if actual != crc {
             return Err(Error::ChecksumMismatch {
                 context: self.name.clone(),
@@ -117,13 +117,6 @@ impl SegmentScanner {
         let entry = LogEntry::decode(payload)?;
         Ok(Some((ptr, entry)))
     }
-}
-
-fn crc32fast_hash(data: &[u8]) -> u32 {
-    // Wrapper kept local so the wal crate owns its hashing choice.
-    let mut h = crc32fast::Hasher::new();
-    h.update(data);
-    h.finalize()
 }
 
 /// Scan every segment of a log from `(start_segment, start_offset)` to the
@@ -232,7 +225,7 @@ pub fn valid_prefix_len(dfs: &Dfs, name: &str) -> Result<u64> {
         }
         let payload = reader.read_exact(len)?;
         let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if crc32fast_hash(&payload) != crc || LogEntry::decode(payload).is_err() {
+        if crc32fast::hash(&payload) != crc || LogEntry::decode(payload).is_err() {
             break;
         }
         valid_end += FRAME_HEADER_LEN as u64 + len;
